@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
     params.deterministic_gaps = true;
     auto spec = drrs::workloads::BuildTwitchWorkload(params);
     auto config = BenchSetups::Config(kind);
-    config.threads = args.threads;
     // Keep the invariant counters armed: Unbound's correctness sacrifice is
     // part of what this figure demonstrates.
     config.engine.check_invariants = true;

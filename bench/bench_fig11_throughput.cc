@@ -38,7 +38,6 @@ void RunWorkload(const std::string& workload, const BenchArgs& args,
   for (SystemKind kind : systems) {
     auto spec = BuildByName(workload, args.scale);
     auto config = BenchSetups::Config(kind);
-    config.threads = args.threads;
     const std::string tag =
         tags.Unique(workload + "." + drrs::harness::SystemName(kind));
     args.ApplyTelemetry(config, tag);

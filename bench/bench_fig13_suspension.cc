@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
          {SystemKind::kDrrs, SystemKind::kMegaphone, SystemKind::kMeces}) {
       auto spec = BuildByName(w, args.scale);
       auto config = BenchSetups::Config(kind);
-      config.threads = args.threads;
       const std::string tag =
           tags.Unique(w + "." + drrs::harness::SystemName(kind));
       args.ApplyTelemetry(config, tag);

@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   for (SystemKind kind : systems) {
     auto spec = BuildByName("twitch", args.scale);
     auto config = BenchSetups::Config(kind);
-    config.threads = args.threads;
     const std::string tag = tags.Unique(drrs::harness::SystemName(kind));
     args.ApplyTelemetry(config, tag);
     if (!args.trace.empty()) {

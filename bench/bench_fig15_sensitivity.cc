@@ -58,7 +58,6 @@ double RunCell(SystemKind kind, double rate, uint64_t state_bytes, double skew,
   c.scale_at = sim::Seconds(30);
   c.restab_hold = sim::Seconds(15);
   c.engine.check_invariants = false;
-  c.threads = args.threads;
   // The cell coordinates are part of the tag: a bare system name would
   // collide 36 times over the grid and silently keep only the last cell.
   char cell[96];

@@ -8,7 +8,6 @@
 //
 //   --mechanism=<name>   run one cell (disabled, drop_tail, random,
 //                        coldest, throttle, breaker); default: all
-//   --threads=N          PDES worker threads (bit-identical output)
 //   --json-summary=<p>   machine-readable per-cell summaries (tagged path)
 
 #include <cstdio>
@@ -69,7 +68,6 @@ std::vector<Cell> BuildCells(const BenchArgs& args) {
     // Let the backlog live at the operator input (one queue to monitor and
     // shed from) instead of distributing it over credit-starved senders.
     c.engine.net.input_buffer_capacity = 1u << 20;
-    c.threads = args.threads;
     return c;
   };
 

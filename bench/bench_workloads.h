@@ -116,10 +116,6 @@ struct BenchArgs {
   double scale = 1.0;
   bool series = true;
   bool faults = false;
-  /// Worker threads for the partitioned simulation backend (`--threads N`
-  /// or `--threads=N`). Bit-identical output for every value; wall-clock
-  /// speedup only on multi-component workloads.
-  uint32_t threads = 1;
   std::string trace;
   std::string json_summary;
   /// `--telemetry` turns the sampler on; `--telemetry=<path>` additionally
@@ -136,10 +132,6 @@ struct BenchArgs {
         args.series = false;
       } else if (std::strcmp(argv[i], "--faults") == 0) {
         args.faults = true;
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        args.threads = static_cast<uint32_t>(std::atoi(argv[++i]));
-      } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-        args.threads = static_cast<uint32_t>(std::atoi(argv[i] + 10));
       } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
         args.trace = argv[i] + 8;
       } else if (std::strncmp(argv[i], "--json-summary=", 15) == 0) {

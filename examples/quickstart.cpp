@@ -5,7 +5,6 @@
 //   JobGraph -> ExecutionGraph -> DrrsStrategy::StartScale -> metrics.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -15,7 +14,6 @@
 #include "runtime/execution_graph.h"
 #include "scaling/drrs/drrs.h"
 #include "scaling/strategy.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 #include "trace/tracer.h"
 #include "workloads/workloads.h"
@@ -25,15 +23,10 @@ using namespace drrs;
 int main(int argc, char** argv) {
   // `--trace=out.json` exports a Chrome/Perfetto trace of the run. The hook
   // sites only exist in DRRS_TRACE builds; elsewhere the export still works
-  // but carries only track metadata. `--threads=N` sizes the partitioned
-  // simulation backend's worker pool; output is bit-identical for every N.
+  // but carries only track metadata.
   std::string trace_path;
-  uint32_t threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<uint32_t>(std::atoi(argv[i] + 10));
-    }
   }
 
   // 1. Describe the job: generator -> keyed aggregator -> sink.
@@ -47,11 +40,8 @@ int main(int argc, char** argv) {
   params.num_key_groups = 64;
   workloads::WorkloadSpec workload = workloads::BuildCustomWorkload(params);
 
-  // 2. Deploy it on the simulated engine. The partitioned backend shards the
-  //    job's connected components over `threads` workers; this job is one
-  //    component, so every thread count produces the identical run.
+  // 2. Deploy it on the simulated engine.
   sim::Simulator sim;
-  sim::PdesEngine pdes(&sim, {.threads = threads});
   std::optional<trace::Tracer> tracer;
   if (!trace_path.empty()) {
     trace::Tracer::Options topt;
@@ -62,7 +52,6 @@ int main(int argc, char** argv) {
   metrics::MetricsHub hub;
   runtime::EngineConfig engine;  // defaults: 1 Gbps links, invariants on
   runtime::ExecutionGraph graph(&sim, workload.graph, engine, &hub);
-  graph.AttachEngine(&pdes, /*base_seed=*/1);
   Status st = graph.Build();
   if (!st.ok()) {
     std::fprintf(stderr, "build failed: %s\n", st.ToString().c_str());
@@ -85,7 +74,7 @@ int main(int argc, char** argv) {
 
   // 4. Run to completion.
   graph.Start();
-  pdes.RunUntilIdle();
+  sim.RunUntilIdle();
 
   // 5. Report.
   const metrics::ScalingMetrics& sm = hub.scaling();

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "runtime/checkpoint.h"
 #include "scaling/scale_service.h"
-#include "sim/partition.h"
 
 namespace drrs::harness {
 
@@ -79,57 +78,36 @@ std::unique_ptr<scaling::ScalingStrategy> MakeStrategy(
 ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
                                const ExperimentConfig& config) {
   sim::Simulator sim;
-  // The partitioned backend is always attached, even at threads=1: the
-  // logical partitioning must be a function of the job graph alone, never of
-  // the thread count, or results would differ across --threads values.
-  sim::PdesEngine::Options engine_options;
-  engine_options.threads = config.threads == 0 ? 1 : config.threads;
-  sim::PdesEngine engine(&sim, engine_options);
-
   auto hub = std::make_unique<metrics::MetricsHub>();
   runtime::ExecutionGraph graph(&sim, workload.graph, config.engine,
                                 hub.get());
-  graph.AttachEngine(&engine, /*base_seed=*/1);
-  if (!config.partition_override.empty()) {
-    graph.set_partition_override(config.partition_override);
-  }
   Status st = graph.Build();
   DRRS_CHECK(st.ok()) << st.ToString();
-  const uint32_t partitions = graph.partition_count();
 
-  // Observers install after Build (which emits no audit/trace events) so
-  // every logical process gets its own instance; the per-partition reports
-  // and traces merge canonically after the run.
+  // Observers install after Build, which emits no audit/trace events.
 #if DRRS_AUDIT
-  std::vector<std::unique_ptr<verify::Auditor>> auditors;
+  std::optional<verify::Auditor> auditor;
   if (config.audit) {
-    for (uint32_t p = 0; p < partitions; ++p) {
-      auditors.push_back(std::make_unique<verify::Auditor>());
-      engine.partition_sim(p)->set_auditor(auditors[p].get());
-    }
+    auditor.emplace();
+    sim.set_auditor(&*auditor);
   }
 #endif
 #if DRRS_TRACE
-  // Tracers are always installed in trace builds: with no --trace path they
-  // run ring-only, so the flight recorder is armed at bounded cost.
-  std::vector<std::unique_ptr<trace::Tracer>> tracers;
-  for (uint32_t p = 0; p < partitions; ++p) {
-    trace::Tracer::Options trace_options = config.trace;
-    if (config.trace_path.empty()) {
-      trace_options.ring_only = true;
-    } else if (trace_options.flight_dump_path ==
-               trace::Tracer::Options{}.flight_dump_path) {
-      trace_options.flight_dump_path = config.trace_path + ".flight.json";
-    }
-    if (p > 0) trace_options.flight_dump_path += ".p" + std::to_string(p);
-    tracers.push_back(std::make_unique<trace::Tracer>(trace_options));
-    engine.partition_sim(p)->set_tracer(tracers[p].get());
+  // The tracer is always installed in trace builds: with no --trace path it
+  // runs ring-only, so the flight recorder is armed at bounded cost.
+  trace::Tracer::Options trace_options = config.trace;
+  if (config.trace_path.empty()) {
+    trace_options.ring_only = true;
+  } else if (trace_options.flight_dump_path ==
+             trace::Tracer::Options{}.flight_dump_path) {
+    trace_options.flight_dump_path = config.trace_path + ".flight.json";
   }
+  trace::Tracer tracer(trace_options);
+  sim.set_tracer(&tracer);
 #if DRRS_AUDIT
-  for (uint32_t p = 0; p < auditors.size(); ++p) {
-    trace::Tracer* t = tracers[p].get();
-    auditors[p]->set_on_violation([t](const verify::Violation& v) {
-      t->DumpFlightRecorder("audit violation: " + v.message);
+  if (auditor) {
+    auditor->set_on_violation([&tracer](const verify::Violation& v) {
+      tracer.DumpFlightRecorder("audit violation: " + v.message);
     });
   }
 #endif
@@ -137,11 +115,6 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
 
   // Fault machinery: a checkpoint coordinator whenever the schedule needs
   // recovery points, and the injector itself when any fault is declared.
-  // Both are partition-local subsystems; exercise them on single-component
-  // workloads.
-  DRRS_CHECK(partitions == 1 || (!config.faults.any() &&
-                                 config.faults.checkpoints.empty()))
-      << "fault injection/checkpointing require a single-partition workload";
   std::optional<runtime::CheckpointCoordinator> checkpoints;
   if (!config.faults.checkpoints.empty() || !config.faults.crashes.empty()) {
     checkpoints.emplace(&graph);
@@ -167,11 +140,6 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
     service.emplace(&graph, service_options);
     strategy = service->Prepare(op);
     DRRS_CHECK(strategy != nullptr) << "workload scaled_op not rescalable";
-    // The control plane lives on the primary simulator; the scaled operator
-    // (and all operators it exchanges scaling traffic with, which share its
-    // connected component by construction) must be in partition 0.
-    DRRS_CHECK(graph.partition_of(op) == 0)
-        << "scaled operator must live in partition 0";
     sim.ScheduleAt(config.scale_at, [&service, op, &config]() {
       Status s = service->RequestRescale(op, config.target_parallelism);
       if (!s.ok()) {
@@ -180,13 +148,9 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
     });
   }
 
-  // Overload control for the scaled operator. Like fault injection this is
-  // a partition-local subsystem: a single logical process keeps every
-  // shed/throttle decision in one deterministic event order.
+  // Overload control for the scaled operator.
   std::optional<overload::OverloadController> overload_ctl;
   if (config.overload.enabled) {
-    DRRS_CHECK(partitions == 1)
-        << "overload control requires a single-partition workload";
     overload_ctl.emplace(&graph, op, config.overload);
     overload_ctl->Arm();
     if (service) {
@@ -205,9 +169,7 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
     if (overload_ctl) telemetry_reg->set_overload(&*overload_ctl, op);
     if (strategy != nullptr) telemetry_reg->set_strategy(strategy, op);
 #if DRRS_TRACE
-    // Counter tracks ride the primary tracer; samples are taken at engine
-    // serialization points, so appending to partition 0's log is ordered.
-    telemetry_reg->set_tracer(tracers[0].get());
+    telemetry_reg->set_tracer(&tracer);
 #endif
   }
 
@@ -218,93 +180,51 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
   std::optional<sim::PeriodicProcess> state_sampler;
   sim::PeriodicProcess* sampler_handle = nullptr;
   if (config.state_sample_period > 0) {
-    if (partitions == 1) {
-      state_sampler.emplace(
-          &sim, config.state_sample_period, config.state_sample_period, [&]() {
-            hub->RecordStateBytes(sim.now(), graph.TotalStateBytes());
-            for (runtime::SourceTask* s : graph.sources()) {
-              if (!s->exhausted()) return;
-            }
-            if (sampler_handle != nullptr) sampler_handle->Cancel();
-          });
-      sampler_handle = &*state_sampler;
-    } else {
-      // Global timers are engine-level serialization points, so the sampler
-      // sees a consistent cross-partition state snapshot.
-      engine.AddGlobalTimer(
-          config.state_sample_period, config.state_sample_period,
-          [&hub, &graph](sim::SimTime t) {
-            hub->RecordStateBytes(t, graph.TotalStateBytes());
-            for (runtime::SourceTask* s : graph.sources()) {
-              if (!s->exhausted()) return true;
-            }
-            return false;
-          });
-    }
+    state_sampler.emplace(
+        &sim, config.state_sample_period, config.state_sample_period, [&]() {
+          hub->RecordStateBytes(sim.now(), graph.TotalStateBytes());
+          for (runtime::SourceTask* s : graph.sources()) {
+            if (!s->exhausted()) return;
+          }
+          if (sampler_handle != nullptr) sampler_handle->Cancel();
+        });
+    sampler_handle = &*state_sampler;
   }
 
-  // Telemetry sampling rides the same dual path as the state sampler and
-  // registers after it, so the engine's global-timer order (and therefore
-  // every existing golden) is unchanged when telemetry is off.
+  // Telemetry sampling registers after the state sampler, so same-instant
+  // samples keep the state sampler first.
   std::optional<sim::PeriodicProcess> telemetry_sampler;
   sim::PeriodicProcess* telemetry_handle = nullptr;
   if (telemetry_reg && config.telemetry.sample_period > 0) {
     const sim::SimTime period = config.telemetry.sample_period;
     telemetry::TelemetryRegistry* reg = telemetry_reg.get();
-    if (partitions == 1) {
-      telemetry_sampler.emplace(&sim, period, period, [&, reg]() {
-        reg->Sample(sim.now());
-        for (runtime::SourceTask* s : graph.sources()) {
-          if (!s->exhausted()) return;
-        }
-        if (telemetry_handle != nullptr) telemetry_handle->Cancel();
-      });
-      telemetry_handle = &*telemetry_sampler;
-    } else {
-      engine.AddGlobalTimer(period, period, [reg, &graph](sim::SimTime t) {
-        reg->Sample(t);
-        for (runtime::SourceTask* s : graph.sources()) {
-          if (!s->exhausted()) return true;
-        }
-        return false;
-      });
-    }
+    telemetry_sampler.emplace(&sim, period, period, [&, reg]() {
+      reg->Sample(sim.now());
+      for (runtime::SourceTask* s : graph.sources()) {
+        if (!s->exhausted()) return;
+      }
+      if (telemetry_handle != nullptr) telemetry_handle->Cancel();
+    });
+    telemetry_handle = &*telemetry_sampler;
   }
 
   sim::SimTime horizon = config.horizon;
   if (horizon <= 0) horizon = sim::kSimTimeMax;  // run to completion
-  engine.RunUntil(horizon);
-  graph.MergeHubShards();
+  sim.RunUntil(horizon);
 
   ExperimentResult result;
 #if DRRS_AUDIT
-  if (!auditors.empty()) {
-    // Leak checks only make sense once the event queues fully drained.
-    if (horizon == sim::kSimTimeMax) {
-      for (auto& a : auditors) a->Finalize();
-    }
-    result.audit = auditors[0]->Report();
-    for (size_t p = 1; p < auditors.size(); ++p) {
-      result.audit.MergeFrom(auditors[p]->Report());
-    }
+  if (auditor) {
+    // Leak checks only make sense once the event queue fully drained.
+    if (horizon == sim::kSimTimeMax) auditor->Finalize();
+    result.audit = auditor->Report();
   }
 #endif
 #if DRRS_TRACE
-  for (const auto& t : tracers) {
-    result.trace_events += t->event_count();
-    result.flight_dumps += t->flight_dumps();
-  }
+  result.trace_events = tracer.event_count();
+  result.flight_dumps = tracer.flight_dumps();
   if (!config.trace_path.empty()) {
-    Status trace_st;
-    if (tracers.size() == 1) {
-      trace_st = tracers[0]->ExportJson(config.trace_path);
-    } else {
-      std::vector<const trace::Tracer*> secondary;
-      for (size_t p = 1; p < tracers.size(); ++p) {
-        secondary.push_back(tracers[p].get());
-      }
-      trace_st = tracers[0]->ExportMergedJson(config.trace_path, secondary);
-    }
+    Status trace_st = tracer.ExportJson(config.trace_path);
     if (!trace_st.ok()) {
       DRRS_LOG(Error) << "trace export failed: " << trace_st.ToString();
     }
@@ -350,7 +270,7 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
   result.invariants = hub->invariants();
   result.source_records = hub->source_rate().total();
   result.sink_records = hub->sink_rate().total();
-  result.executed_events = engine.ExecutedEvents();
+  result.executed_events = sim.executed_events();
   runtime::ExecutionGraph::DeliveryStats delivery = graph.TotalDeliveryStats();
   result.delivered_elements = delivery.elements;
   result.delivered_batches = delivery.batches;
@@ -360,11 +280,7 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
     result.shed_log = overload_ctl->shed_log();
     result.final_pressure = overload_ctl->level();
   }
-  // End-of-run clock: the furthest any logical process advanced — a pure
-  // function of the job graph, so stable across --threads values.
-  for (uint32_t p = 0; p < partitions; ++p) {
-    result.sim_end = std::max(result.sim_end, engine.partition_sim(p)->now());
-  }
+  result.sim_end = sim.now();
   if (telemetry_reg) {
     if (!config.telemetry.csv_path.empty()) {
       Status csv_st = telemetry_reg->WriteCsv(config.telemetry.csv_path);

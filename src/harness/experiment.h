@@ -51,16 +51,6 @@ struct ExperimentConfig {
   SystemKind system = SystemKind::kDrrs;
   uint32_t target_parallelism = 12;
   sim::SimTime scale_at = sim::Seconds(30);
-  /// Worker threads for the partitioned (PDES) simulation backend. Purely a
-  /// wall-clock knob: the logical partitioning is a function of the job
-  /// graph alone, so results are bit-identical for every value, including 1.
-  /// Speedup requires a workload with multiple disconnected components;
-  /// single-component workloads run on one logical process regardless.
-  uint32_t threads = 1;
-  /// Test hook: per-operator partition assignment overriding the default
-  /// connected-component partitioner (empty = default). Forcing a connected
-  /// job across partitions exercises the remote channel (mailbox) path.
-  std::vector<uint32_t> partition_override;
   /// Simulation horizon; defaults (<=0) to workload duration + 30 s.
   sim::SimTime horizon = 0;
   runtime::EngineConfig engine;
@@ -91,9 +81,7 @@ struct ExperimentConfig {
   /// Overload control for the workload's scaled operator: backpressure
   /// escalation, deterministic load shedding and source throttling. The
   /// all-defaults value (`enabled == false`) constructs nothing and keeps
-  /// the run bit-identical to a build without the subsystem. Like fault
-  /// injection, enabling it requires a single-partition workload so every
-  /// decision is bit-identical across --threads values.
+  /// the run bit-identical to a build without the subsystem.
   overload::OverloadOptions overload;
   /// Export a Chrome/Perfetto trace of the run to this path. Only effective
   /// in DRRS_TRACE builds; elsewhere no hook sites exist and the field is
@@ -108,7 +96,7 @@ struct ExperimentConfig {
   /// switch, not a compile gate: when `telemetry.enabled` is false the
   /// harness constructs nothing and the run is bit-identical to a build
   /// without the subsystem. Samples ride the same deterministic timer grid
-  /// as the state sampler, so enabling it is also --threads-invariant.
+  /// as the state sampler.
   telemetry::TelemetryOptions telemetry;
 };
 

@@ -30,25 +30,6 @@ double LogHistogram::BucketMidpoint(size_t index) {
   return (lower + upper) / 2.0;
 }
 
-void LogHistogram::MergeFrom(const LogHistogram& other) {
-  if (other.count_ == 0) return;
-  if (buckets_.size() < other.buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 void LogHistogram::Record(double value) {
   if (std::isnan(value)) return;
   if (value < 0) value = 0;

@@ -22,11 +22,6 @@ class LogHistogram {
  public:
   void Record(double value);
 
-  /// Bucket-wise accumulation of `other`; count/sum add, min/max fold.
-  /// Bucket counts commute; the float `sum_` does not, so callers merge
-  /// shards in canonical partition order.
-  void MergeFrom(const LogHistogram& other);
-
   uint64_t count() const { return count_; }
   double max() const { return count_ == 0 ? 0 : max_; }
   double min() const { return count_ == 0 ? 0 : min_; }

@@ -48,28 +48,6 @@ void ScalingMetrics::RecordStall(StallReason reason, sim::SimTime begin,
   stalls_.push_back(Stall{reason, begin, end});
 }
 
-void ScalingMetrics::MergeFrom(const ScalingMetrics& other) {
-  for (const auto& [id, s] : other.signals_) {
-    SignalTimes& mine = signals_[id];
-    if (mine.injection < 0) mine.injection = s.injection;
-    if (mine.first_migration < 0) mine.first_migration = s.first_migration;
-  }
-  dependency_deltas_.insert(dependency_deltas_.end(),
-                            other.dependency_deltas_.begin(),
-                            other.dependency_deltas_.end());
-  stalls_.insert(stalls_.end(), other.stalls_.begin(), other.stalls_.end());
-  for (size_t i = 0; i < kStallReasonCount; ++i) {
-    stall_hists_[i].MergeFrom(other.stall_hists_[i]);
-  }
-  backpressure_total_ += other.backpressure_total_;
-  throttled_total_ += other.throttled_total_;
-  for (const auto& [unit, count] : other.unit_transfers_) {
-    unit_transfers_[unit] += count;
-  }
-  if (scale_start_ < 0) scale_start_ = other.scale_start_;
-  if (scale_end_ < 0) scale_end_ = other.scale_end_;
-}
-
 sim::SimTime ScalingMetrics::CumulativePropagationDelay() const {
   sim::SimTime total = 0;
   for (const auto& [id, s] : signals_) {

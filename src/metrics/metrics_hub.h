@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "dataflow/stream_element.h"
 #include "metrics/histogram.h"
 #include "metrics/timeseries.h"
@@ -88,13 +87,6 @@ class ScalingMetrics {
     return unit_transfers_;
   }
 
-  /// Fold a per-partition shard into this instance. Scaling lifecycles are
-  /// confined to one partition, so signal/scale fields take whichever side
-  /// recorded them; stalls and histograms accumulate. Shards must merge in
-  /// canonical partition order, in the engine serial phase (all workers
-  /// parked) — enforced at compile time under DRRS_THREAD_SAFETY.
-  void MergeFrom(const ScalingMetrics& other)
-      DRRS_REQUIRES(kEngineSerialPhase);
 
  private:
   struct SignalTimes {
@@ -138,15 +130,6 @@ class InvariantMonitor {
   void CheckOrder(dataflow::OperatorId op, dataflow::InstanceId sender,
                   dataflow::KeyT key, uint64_t seq);
 
-  /// Sum violation counters from a per-partition shard (tasks — and thus
-  /// their (op, sender, key) streams — never span partitions, so the
-  /// per-stream sequence maps need no reconciliation). Serial phase only.
-  void MergeFrom(const InvariantMonitor& other)
-      DRRS_REQUIRES(kEngineSerialPhase) {
-    order_violations += other.order_violations;
-    state_miss_processing += other.state_miss_processing;
-    duplicate_processing += other.duplicate_processing;
-  }
 
  private:
   struct SeqKey {
@@ -191,23 +174,6 @@ struct RecoveryMetrics {
                replayed_elements + links_partitioned + links_healed >
            0;
   }
-
-  void MergeFrom(const RecoveryMetrics& o) DRRS_REQUIRES(kEngineSerialPhase) {
-    chunk_retransmits += o.chunk_retransmits;
-    chunks_dropped += o.chunks_dropped;
-    chunks_duplicated += o.chunks_duplicated;
-    chunks_delayed += o.chunks_delayed;
-    duplicate_installs_suppressed += o.duplicate_installs_suppressed;
-    forced_chunk_installs += o.forced_chunk_installs;
-    scale_aborts += o.scale_aborts;
-    scale_retries += o.scale_retries;
-    scale_cancellations += o.scale_cancellations;
-    crashes_injected += o.crashes_injected;
-    crash_recoveries += o.crash_recoveries;
-    replayed_elements += o.replayed_elements;
-    links_partitioned += o.links_partitioned;
-    links_healed += o.links_healed;
-  }
 };
 
 /// \brief Overload-control counters bumped by the graceful-degradation
@@ -232,22 +198,6 @@ struct OverloadMetrics {
     return records_shed + throttle_activations + pressure_transitions +
                breaker_opens + breaker_probes + breaker_rejections >
            0;
-  }
-
-  void MergeFrom(const OverloadMetrics& o) DRRS_REQUIRES(kEngineSerialPhase) {
-    records_shed += o.records_shed;
-    shed_drop_tail += o.shed_drop_tail;
-    shed_random += o.shed_random;
-    shed_cold_key += o.shed_cold_key;
-    throttle_activations += o.throttle_activations;
-    pressure_transitions += o.pressure_transitions;
-    breaker_opens += o.breaker_opens;
-    breaker_probes += o.breaker_probes;
-    breaker_rejections += o.breaker_rejections;
-    peak_input_backlog = peak_input_backlog > o.peak_input_backlog
-                             ? peak_input_backlog
-                             : o.peak_input_backlog;
-    if (o.last_input_backlog > 0) last_input_backlog = o.last_input_backlog;
   }
 };
 
@@ -284,26 +234,6 @@ class MetricsHub {
     state_bytes_.Push(t, static_cast<double>(bytes));
   }
   const TimeSeries& state_bytes() const { return state_bytes_; }
-
-  /// Fold a per-partition shard into this hub: series stable-merge by time,
-  /// rate buckets and histograms accumulate, counters sum. The PDES harness
-  /// calls this once per shard, in partition order, after the run — the
-  /// single deterministic merge point for partition-accumulated metrics.
-  /// Requires the engine serial phase: merging while any worker still runs
-  /// would race the shard being folded AND make the result order-dependent,
-  /// so under DRRS_THREAD_SAFETY the call is a compile error without the
-  /// phase token (ExecutionGraph::MergeHubShards is the sanctioned caller).
-  void MergeFrom(const MetricsHub& other) DRRS_REQUIRES(kEngineSerialPhase) {
-    latency_.MergeFrom(other.latency_);
-    latency_hist_.MergeFrom(other.latency_hist_);
-    state_bytes_.MergeFrom(other.state_bytes_);
-    source_rate_.MergeFrom(other.source_rate_);
-    sink_rate_.MergeFrom(other.sink_rate_);
-    scaling_.MergeFrom(other.scaling_);
-    invariants_.MergeFrom(other.invariants_);
-    recovery_.MergeFrom(other.recovery_);
-    overload_.MergeFrom(other.overload_);
-  }
 
   ScalingMetrics& scaling() { return scaling_; }
   const ScalingMetrics& scaling() const { return scaling_; }

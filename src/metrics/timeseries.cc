@@ -4,28 +4,8 @@
 #include <cmath>
 #include <utility>
 
-#include "common/logging.h"
 
 namespace drrs::metrics {
-
-void TimeSeries::MergeFrom(const TimeSeries& other) {
-  if (other.samples_.empty()) return;
-  std::vector<Sample> merged;
-  merged.reserve(samples_.size() + other.samples_.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < samples_.size() && j < other.samples_.size()) {
-    // Ties keep existing samples first (lower-partition shards merge first).
-    if (other.samples_[j].time < samples_[i].time) {
-      merged.push_back(other.samples_[j++]);
-    } else {
-      merged.push_back(samples_[i++]);
-    }
-  }
-  while (i < samples_.size()) merged.push_back(samples_[i++]);
-  while (j < other.samples_.size()) merged.push_back(other.samples_[j++]);
-  samples_ = std::move(merged);
-}
 
 double TimeSeries::MaxIn(sim::SimTime begin, sim::SimTime end) const {
   double best = 0;
@@ -158,18 +138,6 @@ void RateCounter::Add(sim::SimTime t, uint64_t n) {
   total_ += n;
   cur_idx_ = idx;
   cur_start_ = static_cast<sim::SimTime>(idx) * width_;
-}
-
-void RateCounter::MergeFrom(const RateCounter& other) {
-  DRRS_CHECK(width_ == other.width_) << "bucket widths must match to merge";
-  if (other.total_ == 0) return;
-  if (buckets_.size() < other.buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  total_ += other.total_;
 }
 
 TimeSeries RateCounter::ToRateSeries() const {

@@ -21,11 +21,6 @@ class TimeSeries {
  public:
   void Push(sim::SimTime t, double v) { samples_.push_back({t, v}); }
 
-  /// Stable merge by time with `other`'s samples; on equal timestamps the
-  /// existing samples come first. Merging per-partition shards in partition
-  /// order therefore realizes the canonical (time, partition) order.
-  void MergeFrom(const TimeSeries& other);
-
   const std::vector<Sample>& samples() const { return samples_; }
   bool empty() const { return samples_.empty(); }
   size_t size() const { return samples_.size(); }
@@ -81,10 +76,6 @@ class RateCounter {
   explicit RateCounter(sim::SimTime bucket_width) : width_(bucket_width) {}
 
   void Add(sim::SimTime t, uint64_t n = 1);
-
-  /// Bucket-wise accumulation of `other` (bucket widths must match).
-  /// Addition of counts commutes, so the result is merge-order-free.
-  void MergeFrom(const RateCounter& other);
 
   /// Series of (bucket_start, events_per_second).
   TimeSeries ToRateSeries() const;

@@ -66,57 +66,12 @@ void Channel::PushBypass(StreamElement element) {
   // Control messages on the bypass path are tiny; model pure propagation.
   // now() is nondecreasing, so bypass arrivals are FIFO like the wire's.
   sim::SimTime arrival = sim_->now() + config_.base_latency;
-  if (remote()) {
-    router_->PostRemote(this, arrival, std::move(element), /*bypass=*/true);
-    return;
-  }
   bypass_.push_back(WireEntry{arrival, std::move(element)});
   ArmBypassEvent();
 }
 
-void Channel::BindRemote(RemoteRouter* router, uint32_t sender_partition,
-                         uint32_t receiver_partition,
-                         sim::Simulator* receiver_sim) {
-  DRRS_CHECK(router != nullptr && receiver_sim != nullptr);
-  DRRS_CHECK(sender_partition != receiver_partition);
-  DRRS_CHECK(output_queue_.empty() && input_queue_.empty() && wire_.empty() &&
-             bypass_.empty())
-      << "BindRemote must precede any traffic";
-  router_ = router;
-  sender_partition_ = sender_partition;
-  receiver_partition_ = receiver_partition;
-  receiver_sim_ = receiver_sim;
-  // Receiver-side storage must live where the receiver's worker touches it.
-  input_queue_.set_arena(receiver_sim_->arena());
-  remote_in_.set_arena(receiver_sim_->arena());
-  remote_bypass_.set_arena(receiver_sim_->arena());
-}
-
-void Channel::AcceptRemote(sim::SimTime arrival, StreamElement element,
-                           bool bypass) {
-  DRRS_CHECK(remote());
-  if (bypass) {
-    remote_bypass_.push_back(WireEntry{arrival, std::move(element)});
-    ArmRemoteBypassEvent();
-  } else {
-    // NOLINTNEXTLINE(drrs-audit-hook-coverage): ingress was audited on the
-    // sender (OnElementRemotelyDeparted); delivery is the receiver-side
-    // observation point (DeliverRemoteDueBatch).
-    remote_in_.push_back(WireEntry{arrival, std::move(element)});
-    ArmRemoteWireEvent();
-  }
-}
-
-void Channel::ApplyRemoteCredits(uint32_t n) {
-  DRRS_CHECK(remote());
-  DRRS_CHECK(remote_unacked_ >= n);
-  remote_unacked_ -= n;
-  TryTransmit();
-}
-
 std::vector<StreamElement> Channel::ExtractFromOutput(
     const std::function<bool(const StreamElement&)>& pred) {
-  DRRS_CHECK(!remote()) << "output-cache surgery is partition-local only";
   std::vector<StreamElement> extracted;
   const size_t n = output_queue_.size();
   size_t r = 0;
@@ -142,7 +97,6 @@ std::vector<StreamElement> Channel::ExtractFromOutput(
 std::vector<StreamElement> Channel::ExtractFromOutputBefore(
     const std::function<bool(const StreamElement&)>& pred,
     const std::function<bool(const StreamElement&)>& stop) {
-  DRRS_CHECK(!remote()) << "output-cache surgery is partition-local only";
   std::vector<StreamElement> extracted;
   const size_t n = output_queue_.size();
   size_t r = 0;
@@ -212,12 +166,6 @@ StreamElement Channel::RemoveInputAt(size_t pos) {
 }
 
 void Channel::NotifyInputConsumed() {
-  if (remote()) {
-    // The sender's transmit state is not touchable from the receiver's
-    // worker; return the credit through the reverse mailbox lane instead.
-    router_->PostRemoteCredit(this, 1);
-    return;
-  }
   // Credit released: the wire may admit the next buffered element.
   TryTransmit();
 }
@@ -270,25 +218,9 @@ void Channel::TryTransmit() {
     if (duplicate && CreditInFlight() + 1 < config_.input_buffer_capacity) {
       StreamElement copy = e;
       copy.audit_id = 0;  // untracked by conservation: same logical element
-      if (remote()) {
-        ++remote_unacked_;
-        router_->PostRemote(this, arrival, std::move(copy), /*bypass=*/false);
-      } else {
-        wire_.push_back(WireEntry{arrival, std::move(copy)});
-      }
+      wire_.push_back(WireEntry{arrival, std::move(copy)});
     }
-    if (remote()) {
-      // The element leaves this partition's audit domain: close its
-      // lifecycle as a legal egress on the sender auditor and strip the
-      // audit identity so the receiver partition's auditor treats it as
-      // untracked (ordering stamps still travel with the element).
-      DRRS_AUDIT_CALL(sim_->auditor(), OnElementRemotelyDeparted(e));
-      e.audit_id = 0;
-      ++remote_unacked_;
-      router_->PostRemote(this, arrival, std::move(e), /*bypass=*/false);
-    } else {
-      wire_.push_back(WireEntry{arrival, std::move(e)});
-    }
+    wire_.push_back(WireEntry{arrival, std::move(e)});
   }
   if (sent) {
     ArmWireEvent();
@@ -344,74 +276,6 @@ void Channel::DeliverDueBatch() {
   DRRS_TRACE_CALL(sim_->tracer(), OnBatchDelivered(receiver_id_, batch));
   receiver_task_->OnBatchAvailable(this, batch);
   // Note: we do not TryTransmit() here; credit was consumed, not released.
-}
-
-void Channel::ArmRemoteWireEvent() {
-  if (remote_in_armed_ || remote_in_.empty()) return;
-  remote_in_armed_ = true;
-  receiver_sim_->ScheduleRawAt(
-      remote_in_.front().arrival,
-      [](void* arg) { static_cast<Channel*>(arg)->FireRemoteWireEvent(); },
-      this);
-}
-
-void Channel::FireRemoteWireEvent() {
-  // Mirrors FireWireEvent; runs on the receiver partition's worker. All
-  // remote_in_ entries were replayed at a barrier strictly before their
-  // arrival times (conservative lookahead), so the due-prefix drain is
-  // complete for this instant.
-  while (!remote_in_.empty() &&
-         remote_in_.front().arrival <= receiver_sim_->now()) {
-    DeliverRemoteDueBatch();
-  }
-  remote_in_armed_ = false;
-  ArmRemoteWireEvent();
-}
-
-void Channel::DeliverRemoteDueBatch() {
-  const sim::SimTime now = receiver_sim_->now();
-  size_t batch = 0;
-  while (!remote_in_.empty() && remote_in_.front().arrival <= now) {
-    StreamElement e = std::move(remote_in_.front().element);
-    remote_in_.pop_front();
-    ++delivered_elements_;
-    delivered_bytes_ += e.WireBytes();
-    DRRS_AUDIT_CALL(receiver_sim_->auditor(),
-                    OnElementDelivered(e, remote_in_.size(),
-                                       input_queue_.size() + 1,
-                                       config_.input_buffer_capacity,
-                                       receiver_id_));
-    DRRS_TRACE_CALL(receiver_sim_->tracer(),
-                    OnElementDelivered(e, receiver_id_,
-                                       input_queue_.size() + 1));
-    input_queue_.push_back(std::move(e));
-    ++batch;
-  }
-  ++delivered_batches_;
-  max_batch_size_ = std::max<uint64_t>(max_batch_size_, batch);
-  ++batch_size_log2_hist_[Log2Bucket(batch)];
-  DRRS_TRACE_CALL(receiver_sim_->tracer(), OnBatchDelivered(receiver_id_, batch));
-  receiver_task_->OnBatchAvailable(this, batch);
-}
-
-void Channel::ArmRemoteBypassEvent() {
-  if (remote_bypass_armed_ || remote_bypass_.empty()) return;
-  remote_bypass_armed_ = true;
-  receiver_sim_->ScheduleRawAt(
-      remote_bypass_.front().arrival,
-      [](void* arg) { static_cast<Channel*>(arg)->FireRemoteBypassEvent(); },
-      this);
-}
-
-void Channel::FireRemoteBypassEvent() {
-  while (!remote_bypass_.empty() &&
-         remote_bypass_.front().arrival <= receiver_sim_->now()) {
-    StreamElement e = std::move(remote_bypass_.front().element);
-    remote_bypass_.pop_front();
-    receiver_task_->OnControlBypass(this, e);
-  }
-  remote_bypass_armed_ = false;
-  ArmRemoteBypassEvent();
 }
 
 void Channel::ArmBypassEvent() {

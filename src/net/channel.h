@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/ring_deque.h"
-#include "common/thread_annotations.h"
 #include "dataflow/stream_element.h"
 #include "sim/sim_time.h"
 #include "sim/simulator.h"
@@ -28,29 +27,6 @@ struct NetworkConfig {
 };
 
 class Channel;
-
-/// \brief Posts cross-partition traffic into the PDES mailbox.
-///
-/// Implemented by sim::PdesEngine; declared here so net/ stays independent
-/// of the engine header. A channel whose sender and receiver live on
-/// different logical processes never arms receiver-side events directly —
-/// it posts (channel, arrival, element) triples through this interface, and
-/// the engine replays them on the receiver's simulator at the next window
-/// barrier in canonical lane order.
-class RemoteRouter {
- public:
-  virtual ~RemoteRouter() = default;
-
-  /// An element (wire path, or bypass path when `bypass`) departing the
-  /// sender partition with its computed arrival time. May be called from
-  /// the sender partition's worker thread mid-window.
-  virtual void PostRemote(Channel* channel, sim::SimTime arrival,
-                          dataflow::StreamElement element, bool bypass) = 0;
-
-  /// `credits` input-cache credits released by the receiver for `channel`'s
-  /// sender. May be called from the receiver partition's worker thread.
-  virtual void PostRemoteCredit(Channel* channel, uint32_t credits) = 0;
-};
 
 /// Receiver-side callbacks, implemented by runtime::Task.
 class ChannelReceiver {
@@ -164,43 +140,7 @@ class Channel {
 
   size_t output_queue_size() const { return output_queue_.size(); }
   const ElementQueue& output_queue() const { return output_queue_; }
-  size_t in_flight() const {
-    return remote() ? remote_unacked_ : wire_.size();
-  }
-
-  // ---- cross-partition (PDES) mode ----
-
-  /// Rebind this channel as a cross-partition link: transmissions post into
-  /// the engine mailbox via `router` instead of arming wire events, and the
-  /// receiver-side queues (input cache, remote FIFOs) move to the receiver
-  /// partition's arena. Must be called before any traffic flows. The credit
-  /// window switches to a sender-held unacked counter, with credits
-  /// returned through the reverse mailbox lane — so a credit released at
-  /// simulated time t reaches the sender at the end of t's synchronization
-  /// window rather than instantaneously ("delayed-credit" link semantics).
-  void BindRemote(RemoteRouter* router, uint32_t sender_partition,
-                  uint32_t receiver_partition, sim::Simulator* receiver_sim);
-  bool remote() const { return router_ != nullptr; }
-  uint32_t sender_partition() const { return sender_partition_; }
-  uint32_t receiver_partition() const { return receiver_partition_; }
-  sim::Simulator* receiver_sim() { return remote() ? receiver_sim_ : sim_; }
-
-  /// Coordinator-side mailbox replay (window barrier, workers parked):
-  /// append one arrival to the receiver-side FIFO and arm its delivery
-  /// event on the receiver simulator. Arrivals are nondecreasing per
-  /// channel (lane FIFO preserves send order; the serializer model makes
-  /// arrival monotone in send order). Requires the engine serial phase:
-  /// replay touches receiver-partition state, which is legal only with
-  /// every worker parked — under DRRS_THREAD_SAFETY a call without the
-  /// phase token is a compile error.
-  void AcceptRemote(sim::SimTime arrival, dataflow::StreamElement element,
-                    bool bypass) DRRS_REQUIRES(kEngineSerialPhase);
-
-  /// Coordinator-side credit replay: return `n` credits to the sender and
-  /// re-attempt transmission (which may post fresh mailbox entries).
-  /// Serial-phase only, like AcceptRemote: it mutates the sender-held
-  /// credit counter from the coordinator thread.
-  void ApplyRemoteCredits(uint32_t n) DRRS_REQUIRES(kEngineSerialPhase);
+  size_t in_flight() const { return wire_.size(); }
 
   // ---- receiver side ----
 
@@ -271,17 +211,9 @@ class Channel {
   void FireWireEvent();
   void ArmBypassEvent();
   void FireBypassEvent();
-  /// Elements in flight against the receiver's credit window: local wire +
-  /// input depth, or the sender-held unacked counter in remote mode (the
-  /// receiver-side depths are not readable across the partition boundary).
-  size_t CreditInFlight() const {
-    return remote() ? remote_unacked_ : wire_.size() + input_queue_.size();
-  }
-  void ArmRemoteWireEvent();
-  void FireRemoteWireEvent();
-  void DeliverRemoteDueBatch();
-  void ArmRemoteBypassEvent();
-  void FireRemoteBypassEvent();
+  /// Elements in flight against the receiver's credit window: wire + input
+  /// depth.
+  size_t CreditInFlight() const { return wire_.size() + input_queue_.size(); }
 
   sim::Simulator* sim_;
   NetworkConfig config_;
@@ -301,25 +233,6 @@ class Channel {
   RingDeque<WireEntry> bypass_;
   bool bypass_event_armed_ = false;
   sim::SimTime link_free_at_ = 0;  ///< serializer availability (FIFO wire)
-
-  // ---- cross-partition mode (null/unused on local channels) ----
-  RemoteRouter* router_ = nullptr;
-  sim::Simulator* receiver_sim_ = nullptr;
-  uint32_t sender_partition_ = 0;
-  uint32_t receiver_partition_ = 0;
-  /// Credits consumed but not yet returned by the receiver. Written by the
-  /// sender's worker (TryTransmit) and the coordinator (ApplyRemoteCredits
-  /// at barriers, workers parked) — never concurrently. The two writers
-  /// alternate by *phase*, not by lock, so no GUARDED_BY applies; the
-  /// coordinator half of the alternation is enforced by the serial-phase
-  /// requirement on ApplyRemoteCredits above.
-  size_t remote_unacked_ = 0;
-  /// Receiver-side FIFOs of replayed mailbox arrivals; storage lives in the
-  /// receiver partition's arena. Same single-armed-event scheme as wire_.
-  RingDeque<WireEntry> remote_in_;
-  bool remote_in_armed_ = false;
-  RingDeque<WireEntry> remote_bypass_;
-  bool remote_bypass_armed_ = false;
 
   std::vector<std::function<void()>> decongest_listeners_;
 

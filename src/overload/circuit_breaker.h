@@ -10,7 +10,7 @@ namespace drrs::overload {
 /// \brief Simulated-time circuit breaker for scale-operation admission.
 ///
 /// The classic three-state machine, driven entirely by the virtual clock so
-/// runs stay bit-identical across thread counts:
+/// runs stay bit-identical across runs of the same seed:
 ///
 ///   Closed    — requests admitted; consecutive failures are counted.
 ///   Open      — requests rejected until `retry_at()`; each re-opening

@@ -71,13 +71,12 @@ struct OverloadOptions {
   double throttle_rate_per_sec = 0;
   double throttle_burst = 64;
 
-  /// Seed for the kSeededRandom coin. Draws happen in event order on one
-  /// logical process, so shed decisions are bit-identical across thread
-  /// counts.
+  /// Seed for the kSeededRandom coin. Draws happen in event order, so shed
+  /// decisions are bit-identical across runs of the same seed.
   uint64_t seed = 0x5eed;
 
   /// Capture a (instance, key, seq) log of every shed record — the
-  /// cross-thread determinism tests byte-compare it.
+  /// determinism tests byte-compare it.
   bool record_shed_log = false;
 };
 
@@ -107,9 +106,8 @@ struct ShedLogEntry {
 ///      (verify::Auditor::OnRecordShed) and visible in traces/metrics.
 ///   3. kThrottled — source token buckets additionally cap the ingest rate.
 ///
-/// Everything runs in simulated time on the primary logical process; the
-/// harness rejects multi-partition runs with overload enabled (like fault
-/// injection), so decisions are bit-identical across --threads values.
+/// Everything runs in simulated time on the run's one simulator, so
+/// decisions are a pure function of the workload and seed.
 class OverloadController : public runtime::ArrivalGate {
  public:
   /// `op` is the monitored (and gated) operator. Call Arm() after

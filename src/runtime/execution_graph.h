@@ -14,10 +14,6 @@
 #include "runtime/task.h"
 #include "sim/simulator.h"
 
-namespace drrs::sim {
-class PdesEngine;
-}  // namespace drrs::sim
-
 namespace drrs::runtime {
 
 class CheckpointCoordinator;
@@ -49,33 +45,6 @@ class ExecutionGraph {
 
   ExecutionGraph(const ExecutionGraph&) = delete;
   ExecutionGraph& operator=(const ExecutionGraph&) = delete;
-
-  /// Attach the PDES engine. Must precede Build(). The graph then computes
-  /// the operator -> logical-process assignment (a pure function of the job
-  /// graph, never of thread count), sizes the engine, creates each task on
-  /// its partition's simulator with a per-partition metrics shard, and binds
-  /// cross-partition channels to the engine mailbox. `base_seed` seeds the
-  /// per-partition RNG streams.
-  void AttachEngine(sim::PdesEngine* engine, uint64_t base_seed);
-  sim::PdesEngine* engine() { return engine_; }
-
-  /// Logical process that operator `op`'s tasks live on (0 without engine).
-  uint32_t partition_of(dataflow::OperatorId op) const {
-    return op_partition_.empty() ? 0 : op_partition_[op];
-  }
-  uint32_t partition_count() const { return partition_count_; }
-
-  /// Test hook: force a specific operator -> partition map instead of the
-  /// connected-component default. Must cover every operator with dense
-  /// partition ids starting at 0, be called after AttachEngine and before
-  /// Build, and keep every connected component within one partition.
-  void set_partition_override(std::vector<uint32_t> op_partition);
-
-  /// Per-partition metrics shard; shard 0 is the externally provided hub.
-  metrics::MetricsHub* hub_shard(uint32_t p);
-  /// Fold shards 1..P-1 into the primary hub, in partition order — the
-  /// deterministic merge point for all partition-accumulated metrics.
-  void MergeHubShards();
 
   /// Instantiate tasks and channels. Must be called exactly once.
   Status Build();
@@ -155,13 +124,6 @@ class ExecutionGraph {
  private:
   net::Channel* CreateChannel(Task* from, Task* to);
   std::unique_ptr<Task> MakeTask(dataflow::OperatorId op, uint32_t subtask);
-  /// Fill op_partition_/partition_count_: identity 0 without an engine,
-  /// otherwise operator-connected-components (labelled in min-op-id order)
-  /// greedily balanced over at most kMaxPartitions logical processes.
-  void ComputePartitions();
-  sim::Simulator* sim_for(dataflow::OperatorId op);
-  metrics::MetricsHub* hub_for(dataflow::OperatorId op);
-
   sim::Simulator* sim_;
   dataflow::JobGraph job_;
   EngineConfig config_;
@@ -176,15 +138,6 @@ class ExecutionGraph {
            net::Channel*>
       scaling_channels_;
   CheckpointCoordinator* checkpoint_coordinator_ = nullptr;
-
-  // ---- PDES partitioning (inert without AttachEngine) ----
-  sim::PdesEngine* engine_ = nullptr;
-  uint64_t engine_seed_ = 0;
-  std::vector<uint32_t> op_partition_;  // by OperatorId
-  bool partition_override_ = false;
-  uint32_t partition_count_ = 1;
-  /// Shards for partitions 1..P-1 (partition 0 records into hub_ directly).
-  std::vector<std::unique_ptr<metrics::MetricsHub>> hub_shards_;
 };
 
 }  // namespace drrs::runtime

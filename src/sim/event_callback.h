@@ -1,7 +1,6 @@
 #ifndef DRRS_SIM_EVENT_CALLBACK_H_
 #define DRRS_SIM_EVENT_CALLBACK_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -14,14 +13,12 @@ namespace drrs::sim {
 /// Count of EventCallback constructions that had to heap-allocate because the
 /// capture set exceeded the inline buffer. The engine's own hot-path events
 /// (channel delivery, task scheduling) must keep this at zero; benchmarks and
-/// tests assert on it. Atomic because the partitioned backend constructs
-/// callbacks from worker threads; relaxed is enough for a diagnostics count.
+/// tests assert on it.
 uint64_t EventCallbackHeapFallbacks();
 
 namespace internal {
-inline std::atomic<uint64_t>& HeapFallbackCounter() {
-  // lint:allow(thread-shared-state): atomic diagnostics counter, relaxed ops.
-  static std::atomic<uint64_t> counter{0};
+inline uint64_t& HeapFallbackCounter() {
+  static uint64_t counter = 0;
   return counter;
 }
 }  // namespace internal
@@ -68,7 +65,7 @@ class EventCallback {
         };
       }
     } else {
-      internal::HeapFallbackCounter().fetch_add(1, std::memory_order_relaxed);
+      ++internal::HeapFallbackCounter();
       Fn* heap = new Fn(std::forward<F>(fn));
       std::memcpy(storage_, &heap, sizeof(heap));
       invoke_ = [](void* self) {
@@ -136,7 +133,7 @@ class EventCallback {
 };
 
 inline uint64_t EventCallbackHeapFallbacks() {
-  return internal::HeapFallbackCounter().load(std::memory_order_relaxed);
+  return internal::HeapFallbackCounter();
 }
 
 }  // namespace drrs::sim

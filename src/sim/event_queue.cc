@@ -7,6 +7,14 @@
 
 namespace drrs::sim {
 
+EventQueue::~EventQueue() {
+  for (const Event& e : heap_) {
+    if (e.fn == &EventQueue::InvokeBox) {
+      box_pool_.Delete(static_cast<CallbackBox*>(e.arg));
+    }
+  }
+}
+
 void EventQueue::Schedule(SimTime at, Callback cb) {
   CallbackBox* box = box_pool_.New();
   box->cb = std::move(cb);

@@ -38,6 +38,10 @@ class EventQueue {
   /// Hot-path event body: a captureless function taking the context pointer.
   using RawFn = void (*)(void*);
 
+  /// Destroys the boxed callbacks of events still pending (a run stopped at a
+  /// horizon), releasing their captures.
+  ~EventQueue();
+
   /// Enqueue a boxed callback to fire at absolute time `at`.
   void Schedule(SimTime at, Callback cb);
 

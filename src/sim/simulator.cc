@@ -46,13 +46,6 @@ uint64_t Simulator::RunUntil(SimTime horizon) {
   return n;
 }
 
-void Simulator::AdvanceTo(SimTime t) {
-  if (t <= now_) return;
-  DRRS_CHECK(queue_.empty() || queue_.PeekTime() > t)
-      << "AdvanceTo would skip over a pending event";
-  now_ = t;
-}
-
 bool Simulator::Step() {
   if (queue_.empty()) return false;
   EventQueue::Fired f = queue_.Pop();

@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "common/arena.h"
-#include "common/random.h"
 #include "sim/event_queue.h"
 #include "sim/sim_time.h"
 
@@ -69,35 +68,6 @@ class Simulator {
 
   uint64_t executed_events() const { return executed_; }
 
-  /// Timestamp of the earliest pending event, kSimTimeMax when idle.
-  SimTime NextEventTime() const {
-    return queue_.empty() ? kSimTimeMax : queue_.PeekTime();
-  }
-  bool idle() const { return queue_.empty(); }
-
-  /// Advance the clock to `t` without executing anything. Only legal when no
-  /// pending event is at or before `t`. The PDES engine uses this at window
-  /// barriers so that work triggered at a barrier (credit-released
-  /// transmissions, global samplers) is timestamped with the barrier time
-  /// rather than the partition's last event time.
-  void AdvanceTo(SimTime t);
-
-  // ---- logical-process identity (PDES) ----
-
-  /// Which logical process this simulator drives. 0 for standalone
-  /// simulators and for the control partition of a partitioned run.
-  uint32_t partition_id() const { return partition_id_; }
-  void set_partition_id(uint32_t p) { partition_id_ = p; }
-
-  /// Per-partition deterministic random stream: a function of the seed and
-  /// the partition id only, never of thread count or scheduling. Partition
-  /// sims are seeded by the PdesEngine; standalone simulators default to
-  /// stream 0 of seed 0 until SeedRng is called.
-  void SeedRng(uint64_t base_seed) {
-    rng_ = Rng(base_seed ^ (0x9e3779b97f4a7c15ULL * (partition_id_ + 1)));
-  }
-  Rng& rng() { return rng_; }
-
   /// Install (or clear, with nullptr) the invariant auditor. The pointer is
   /// forwarded to the event queue and read by every engine hook site; the
   /// hooks themselves only exist in DRRS_AUDIT builds.
@@ -132,14 +102,14 @@ class Simulator {
  private:
   SimTime now_ = 0;
   uint64_t executed_ = 0;
-  EventQueue queue_;
+  // The arena outlives the queue: pending callbacks destroyed with the queue
+  // may still hold arena-backed storage.
   Arena arena_;
+  EventQueue queue_;
   verify::Auditor* auditor_ = nullptr;
   net::FaultPlane* fault_plane_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   uint64_t cancelled_fires_ = 0;
-  uint32_t partition_id_ = 0;
-  Rng rng_{0};
 };
 
 /// \brief Helper that re-schedules a callback at a fixed period until

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/thread_annotations.h"
 #include "metrics/histogram.h"
 #include "metrics/metrics_hub.h"
 #include "net/channel.h"
@@ -143,14 +142,6 @@ TelemetryRegistry::OpCounters TelemetryRegistry::ReadCounters(
 }
 
 void TelemetryRegistry::Sample(sim::SimTime t) {
-  // The sampler runs either inside an engine-global timer (all workers
-  // parked at the window barrier — the engine's documented serialization
-  // point) or on a single-partition run where no other logical process
-  // exists. Both are serial phases in the sense of DESIGN.md §9, which is
-  // what licenses reading every partition's task counters and folding the
-  // per-partition latency histograms below.
-  SerialPhaseScope serial(kEngineSerialPhase);
-
   const double dt = sim::ToSeconds(t - last_time_);
   const size_t ops = series_.size();
   for (size_t op = 0; op < ops; ++op) {
@@ -236,16 +227,11 @@ void TelemetryRegistry::Sample(sim::SimTime t) {
     }
   }
 
-  // Job-level latency quantile snapshots from the per-partition LogHistograms
-  // (cumulative-to-date; the histogram has no decay). Folding the shards into
-  // a scratch histogram is the same canonical-partition-order merge the
-  // post-run MergeHubShards performs, licensed by the serial phase above.
-  metrics::LogHistogram merged;
-  for (uint32_t p = 0; p < graph_->partition_count(); ++p) {
-    merged.MergeFrom(graph_->hub_shard(p)->latency_histogram());
-  }
-  latency_p50_.Push(t, merged.Quantile(0.50));
-  latency_p99_.Push(t, merged.Quantile(0.99));
+  // Job-level latency quantile snapshots (cumulative-to-date; the histogram
+  // has no decay).
+  const metrics::LogHistogram& latency = graph_->hub()->latency_histogram();
+  latency_p50_.Push(t, latency.Quantile(0.50));
+  latency_p99_.Push(t, latency.Quantile(0.99));
 
   last_time_ = t;
   ++sample_count_;

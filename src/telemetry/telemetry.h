@@ -95,10 +95,9 @@ struct TelemetryOptions {
   /// Master switch. Default off: the harness constructs nothing and every
   /// run stays bit-identical to a build without the subsystem.
   bool enabled = false;
-  /// Sampling cadence (simulated time). Samples ride the engine-global
-  /// timer grid, so they are a serialization point under PDES and the
-  /// sampled values are a pure function of the job graph — never of
-  /// --threads.
+  /// Sampling cadence (simulated time). Samples ride the deterministic
+  /// event order of the run's simulator, so the sampled values are a pure
+  /// function of the workload and seed.
   sim::SimTime sample_period = sim::Millis(500);
   /// Per-series retention (samples). 4096 at the default cadence covers a
   /// ~34-minute window, far beyond any bench horizon.
@@ -116,11 +115,9 @@ struct TelemetryOptions {
 /// with a windowed query API shaped for a future autoscaling policy engine.
 ///
 /// Owned by the harness. RunExperiment drives Sample() on the deterministic
-/// cadence of `options.sample_period`, through sim::PeriodicProcess on
-/// single-partition runs and an engine-global timer otherwise — the same
-/// dual path as the state-bytes sampler, so multi-partition samples see a
-/// globally consistent snapshot (workers parked) and every value is
-/// byte-identical across --threads counts.
+/// cadence of `options.sample_period` through a sim::PeriodicProcess, like
+/// the state-bytes sampler, so every value is byte-identical across runs of
+/// the same seed.
 ///
 /// Rates are derived from the engine's cumulative counters (channel
 /// delivered-element counts, task processed-record and busy-time counters)
@@ -174,7 +171,7 @@ class TelemetryRegistry {
     return series_[op][static_cast<size_t>(kind)];
   }
   /// Job-level end-to-end latency quantile snapshots (ms), taken from the
-  /// merged per-partition LogHistograms at each sample. Cumulative-to-date
+  /// hub's LogHistogram at each sample. Cumulative-to-date
   /// quantiles, not per-window: the histogram has no decay.
   const RingSeries& latency_p50_ms() const { return latency_p50_; }
   const RingSeries& latency_p99_ms() const { return latency_p99_; }
@@ -189,7 +186,8 @@ class TelemetryRegistry {
 
   /// Write every retained sample as CSV (time_us,op,operator,series,value;
   /// rows ordered by time, then operator, then series ordinal — a pure
-  /// function of the sampled values, so byte-identical across --threads).
+  /// function of the sampled values, so byte-identical across runs of the
+  /// same seed).
   Status WriteCsv(const std::string& path) const;
 
  private:

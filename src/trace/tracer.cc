@@ -741,22 +741,11 @@ void Tracer::OnRecoveryAction(const char* action,
 void Tracer::WriteEvents(std::string* out,
                          const std::vector<TraceEvent>& events,
                          const std::string& reason) const {
-  WriteEventsWith(out, events, reason, track_names_, chunk_hist_, stall_hist_,
-                  total_events_, dropped_events_);
-}
-
-void Tracer::WriteEventsWith(
-    std::string* out, const std::vector<TraceEvent>& events,
-    const std::string& reason,
-    const std::map<uint64_t, std::string>& track_names,
-    const metrics::LogHistogram& chunk_hist,
-    const std::map<dataflow::OperatorId, metrics::LogHistogram>& stall_hist,
-    uint64_t total_events, uint64_t dropped_events) const {
   *out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   // Metadata: name each track so Perfetto shows readable lanes. Task tracks
   // are registered lazily; anything unnamed falls back to its numeric tid.
-  for (const auto& [track, name] : track_names) {
+  for (const auto& [track, name] : track_names_) {
     if (!first) *out += ",";
     first = false;
     // 128, not 64: the fixed part is 61 chars, so a 3+-digit tid (task
@@ -812,10 +801,10 @@ void Tracer::WriteEventsWith(
     *out += "}";
   }
   *out += "],\"drrsHistograms\":{\"chunk_flight_ms\":";
-  AppendHistogram(out, chunk_hist);
+  AppendHistogram(out, chunk_hist_);
   *out += ",\"stall_ms_by_operator\":{";
   bool first_op = true;
-  for (const auto& [op, hist] : stall_hist) {
+  for (const auto& [op, hist] : stall_hist_) {
     if (!first_op) *out += ",";
     first_op = false;
     char key[32];
@@ -832,7 +821,7 @@ void Tracer::WriteEventsWith(
   std::snprintf(tail, sizeof(tail),
                 ",\"drrsTotalEvents\":%" PRIu64 ",\"drrsDroppedEvents\":%" PRIu64
                 "}\n",
-                total_events, dropped_events);
+                total_events_, dropped_events_);
   *out += tail;
 }
 
@@ -859,49 +848,6 @@ Status Tracer::ExportJson(const std::string& path) const {
   std::string out;
   out.reserve(events_.size() * 128 + 1024);
   WriteEvents(&out, events_, /*reason=*/"");
-  return WriteFile(path, out);
-}
-
-Status Tracer::ExportMergedJson(
-    const std::string& path, const std::vector<const Tracer*>& secondary) const {
-  if (options_.ring_only) {
-    return Status::FailedPrecondition(
-        "tracer is in ring-only mode; use DumpFlightRecorder()");
-  }
-  for (const Tracer* t : secondary) {
-    if (t->options_.ring_only) {
-      return Status::FailedPrecondition(
-          "a secondary tracer is in ring-only mode");
-    }
-  }
-  // Concatenate in (this, secondary...) order, then stable-sort by ts: each
-  // log is already time-ordered, so equal timestamps resolve to partition
-  // order — the canonical merge rule, independent of thread count.
-  std::vector<TraceEvent> merged = events_;
-  std::map<uint64_t, std::string> names = track_names_;
-  metrics::LogHistogram chunks = chunk_hist_;
-  std::map<dataflow::OperatorId, metrics::LogHistogram> stalls = stall_hist_;
-  uint64_t total = total_events_;
-  uint64_t dropped = dropped_events_;
-  for (const Tracer* t : secondary) {
-    merged.insert(merged.end(), t->events_.begin(), t->events_.end());
-    for (const auto& [track, name] : t->track_names_) {
-      names.emplace(track, name);  // first writer (lowest partition) wins
-    }
-    chunks.MergeFrom(t->chunk_hist_);
-    for (const auto& [op, hist] : t->stall_hist_) {
-      stalls[op].MergeFrom(hist);
-    }
-    total += t->total_events_;
-    dropped += t->dropped_events_;
-  }
-  std::stable_sort(
-      merged.begin(), merged.end(),
-      [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
-  std::string out;
-  out.reserve(merged.size() * 128 + 1024);
-  WriteEventsWith(&out, merged, /*reason=*/"", names, chunks, stalls, total,
-                  dropped);
   return WriteFile(path, out);
 }
 

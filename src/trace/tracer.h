@@ -229,15 +229,6 @@ class Tracer {
   /// ring-only mode (use DumpFlightRecorder) or on I/O errors.
   Status ExportJson(const std::string& path) const;
 
-  /// Multi-partition export (PDES runs): stable-merge this tracer's log with
-  /// `secondary` tracers' logs by timestamp — this (partition 0) tracer wins
-  /// timestamp ties, then the secondaries in the order given, which the
-  /// harness makes partition order — with unioned track names, accumulated
-  /// sidecar histograms and summed counters. The result is a pure function
-  /// of the per-partition logs, so byte-identical across thread counts.
-  Status ExportMergedJson(const std::string& path,
-                          const std::vector<const Tracer*>& secondary) const;
-
   /// Write the last `ring_capacity` events to `options.flight_dump_path`,
   /// with `reason` attached as trace metadata. Each call overwrites the
   /// file (the latest failure wins); `flight_dumps()` counts invocations.
@@ -266,15 +257,6 @@ class Tracer {
   sim::SimTime Now() const;
   void WriteEvents(std::string* out, const std::vector<TraceEvent>& events,
                    const std::string& reason) const;
-  /// WriteEvents with explicit sidecar state, so merged exports can feed
-  /// combined names/histograms/counters instead of this tracer's own.
-  void WriteEventsWith(
-      std::string* out, const std::vector<TraceEvent>& events,
-      const std::string& reason,
-      const std::map<uint64_t, std::string>& track_names,
-      const metrics::LogHistogram& chunk_hist,
-      const std::map<dataflow::OperatorId, metrics::LogHistogram>& stall_hist,
-      uint64_t total_events, uint64_t dropped_events) const;
 
   Options options_;
   const sim::Simulator* sim_ = nullptr;

@@ -143,22 +143,6 @@ void Auditor::OnElementTransmitted(const StreamElement& element) {
   info->phase = Phase::kWire;
 }
 
-void Auditor::OnElementRemotelyDeparted(const StreamElement& element) {
-  if (!options_.conservation) return;
-  if (element.kind != ElementKind::kRecord) return;
-  RecordInfo* info = TrackedRecord(element.audit_id);
-  if (info == nullptr) return;
-  if (info->phase != Phase::kWire) {
-    std::ostringstream os;
-    os << "record " << element.audit_id << " (key " << element.key
-       << ") departed to another partition while " << PhaseName(info->phase);
-    AddViolation(AuditCheck::kConservation, os.str());
-  }
-  // Legal egress: the record's lifecycle continues under the receiver
-  // partition's auditor; locally it is complete.
-  info->phase = Phase::kDone;
-}
-
 void Auditor::OnElementDelivered(const StreamElement& element,
                                  size_t wire_depth, size_t input_depth,
                                  size_t capacity,
@@ -644,26 +628,6 @@ size_t Auditor::CountOf(AuditCheck check) const {
     if (v.check == check) ++n;
   }
   return n;
-}
-
-void AuditReport::MergeFrom(const AuditReport& other) {
-  enabled = enabled || other.enabled;
-  finalized = finalized && other.finalized;
-  violations.insert(violations.end(), other.violations.begin(),
-                    other.violations.end());
-  dropped_violations += other.dropped_violations;
-  records_tracked += other.records_tracked;
-  records_processed += other.records_processed;
-  records_shed += other.records_shed;
-  chunks_tracked += other.chunks_tracked;
-  chunks_installed += other.chunks_installed;
-  scales_observed += other.scales_observed;
-  chunks_lost += other.chunks_lost;
-  chunks_retransmitted += other.chunks_retransmitted;
-  chunks_force_installed += other.chunks_force_installed;
-  duplicate_suppressed += other.duplicate_suppressed;
-  aborted_drops += other.aborted_drops;
-  tie_pops += other.tie_pops;
 }
 
 AuditReport Auditor::Report() const {

@@ -72,11 +72,6 @@ struct AuditReport {
   bool clean() const { return violations.empty() && dropped_violations == 0; }
   size_t CountOf(AuditCheck check) const;
   std::string Summary() const;
-
-  /// Fold a per-partition report into this one: violations concatenate (the
-  /// PDES harness merges in partition order, so the combined list is
-  /// canonical), counters sum, flags AND/OR as appropriate.
-  void MergeFrom(const AuditReport& other);
 };
 
 /// \brief Event-granular invariant auditor for the scaling control plane.
@@ -139,11 +134,6 @@ class Auditor {
   void OnElementPushed(dataflow::StreamElement* element);
   /// Element moving from the output cache onto the wire.
   void OnElementTransmitted(const dataflow::StreamElement& element);
-  /// Element leaving this auditor's partition over a cross-partition link
-  /// (PDES mode). Closes the record's local lifecycle as a legal egress —
-  /// the receiver partition's auditor sees it as untracked (audit_id
-  /// stripped), while the ordering stamps still travel with the element.
-  void OnElementRemotelyDeparted(const dataflow::StreamElement& element);
   /// Element arriving in the receiver's input cache. Depths are post-
   /// delivery; `capacity` is the credit window being enforced.
   void OnElementDelivered(const dataflow::StreamElement& element,

@@ -55,57 +55,6 @@ WorkloadSpec BuildCustomWorkload(const CustomParams& params) {
   return WorkloadSpec{"custom", std::move(graph), aggregator};
 }
 
-WorkloadSpec BuildMultiJobWorkload(const MultiJobParams& params) {
-  DRRS_CHECK(params.jobs >= 1);
-  JobGraph graph(params.num_key_groups);
-  OperatorId scaled_op = 0;
-
-  for (uint32_t j = 0; j < params.jobs; ++j) {
-    RateGenerator::Params gen;
-    gen.events_per_second = params.events_per_second;
-    gen.num_keys = params.num_keys;
-    gen.key_skew = params.skew;
-    gen.duration = params.duration;
-    // SplitMix-style fork so per-job streams are decorrelated but still a
-    // pure function of (seed, job index).
-    gen.seed = params.seed + 0x9e3779b97f4a7c15ULL * (j + 1);
-
-    OperatorSpec source;
-    source.name = "gen-" + std::to_string(j);
-    source.parallelism = params.source_parallelism;
-    source.is_source = true;
-    source.record_cost = sim::Micros(10);
-    source.source_factory = MakeRateGeneratorFactory(gen);
-    OperatorId src = graph.AddOperator(std::move(source));
-
-    OperatorSpec agg;
-    agg.name = "agg-" + std::to_string(j);
-    agg.parallelism = params.agg_parallelism;
-    agg.is_stateful = true;
-    agg.record_cost = params.record_cost;
-    agg.emit_cost = sim::Micros(2);
-    uint64_t padding = params.state_bytes_per_key;
-    agg.factory = [padding]() {
-      return std::make_unique<KeyedAggregateOperator>(padding);
-    };
-    OperatorId aggregator = graph.AddOperator(std::move(agg));
-    if (j == 0) scaled_op = aggregator;
-
-    OperatorSpec sink;
-    sink.name = "sink-" + std::to_string(j);
-    sink.parallelism = params.sink_parallelism;
-    sink.is_sink = true;
-    sink.record_cost = sim::Micros(5);
-    OperatorId sk = graph.AddOperator(std::move(sink));
-
-    DRRS_CHECK(graph.Connect(src, aggregator, Partitioning::kHash).ok());
-    DRRS_CHECK(graph.Connect(aggregator, sk, Partitioning::kRebalance).ok());
-  }
-
-  return WorkloadSpec{"multi-job-" + std::to_string(params.jobs),
-                      std::move(graph), scaled_op};
-}
-
 WorkloadSpec BuildFlashCrowdWorkload(const FlashCrowdParams& params) {
   JobGraph graph(params.num_key_groups);
 

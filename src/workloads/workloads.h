@@ -73,27 +73,6 @@ struct TwitchParams {
 };
 WorkloadSpec BuildTwitchWorkload(const TwitchParams& params);
 
-/// \brief Multi-tenant workload: `jobs` independent generator -> keyed
-/// aggregator -> sink pipelines in one JobGraph (disconnected components,
-/// per-job forked seeds). This is the shape the partitioned simulation
-/// backend parallelizes: each component becomes its own logical process.
-/// The scaled operator is job 0's aggregator (partition 0 by construction).
-struct MultiJobParams {
-  uint32_t jobs = 16;
-  double events_per_second = 2000;  ///< per job
-  uint64_t num_keys = 2000;
-  double skew = 0.0;
-  uint64_t state_bytes_per_key = 1024;
-  sim::SimTime duration = sim::Seconds(60);
-  sim::SimTime record_cost = sim::Micros(220);
-  uint32_t source_parallelism = 1;
-  uint32_t agg_parallelism = 4;
-  uint32_t sink_parallelism = 1;
-  uint32_t num_key_groups = 128;
-  uint64_t seed = 42;
-};
-WorkloadSpec BuildMultiJobWorkload(const MultiJobParams& params);
-
 /// \brief Flash-crowd overload workload: the 3-operator custom pipeline
 /// driven past aggregator capacity during a bounded surge window. Aggregator
 /// capacity is `agg_parallelism / record_cost` records/s; the defaults put

@@ -1,12 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <random>
-#include <string>
-#include <vector>
-
-#include "common/thread_annotations.h"
 #include "metrics/histogram.h"
 #include "metrics/metrics_hub.h"
 #include "metrics/timeseries.h"
@@ -399,169 +392,6 @@ TEST(Restabilization, HoldWindowMustBeQuiet) {
   sim::SimTime restab = DetectRestabilization(
       lat, sim::Seconds(100), 11.0, sim::Seconds(100));
   EXPECT_EQ(restab, sim::Seconds(170));
-}
-
-// ---------------------------------------------------------------------------
-// MergeHubShards merge-order determinism (property test)
-// ---------------------------------------------------------------------------
-//
-// The PDES harness accumulates metrics into per-partition hub shards and
-// folds them into the root hub at MergeHubShards() in canonical partition
-// order. The property: the merged result is a function of the shard
-// *contents* only — the order in which partitions finished populating their
-// shards (worker completion order, a wall-clock accident) must not leak
-// into the merged bytes. We simulate shuffled completion interleavings,
-// merge canonically, serialize everything observable, and require
-// byte-identical output.
-
-namespace {
-
-void AppendDouble(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  *out += buf;
-}
-
-std::string SerializeHub(const MetricsHub& hub) {
-  std::string out = "{\"latency\":[";
-  for (const auto& s : hub.latency_ms().samples()) {
-    out += std::to_string(s.time) + ":";
-    AppendDouble(&out, s.value);
-    out += ",";
-  }
-  out += "],\"latency_hist\":";
-  out += std::to_string(hub.latency_histogram().count()) + "/";
-  AppendDouble(&out, hub.latency_histogram().mean());
-  out += "/";
-  AppendDouble(&out, hub.latency_histogram().Quantile(0.99));
-  out += ",\"state_bytes\":[";
-  for (const auto& s : hub.state_bytes().samples()) {
-    out += std::to_string(s.time) + ":";
-    AppendDouble(&out, s.value);
-    out += ",";
-  }
-  out += "],\"source_total\":" + std::to_string(hub.source_rate().total());
-  out += ",\"sink_total\":" + std::to_string(hub.sink_rate().total());
-  out += ",\"source_series\":[";
-  const TimeSeries source_series = hub.source_rate().ToRateSeries();
-  for (const auto& s : source_series.samples()) {
-    out += std::to_string(s.time) + ":";
-    AppendDouble(&out, s.value);
-    out += ",";
-  }
-  out += "],\"scaling\":";
-  out += std::to_string(hub.scaling().CumulativePropagationDelay()) + "/";
-  AppendDouble(&out, hub.scaling().AverageDependencyOverheadUs());
-  out += "/" + std::to_string(hub.scaling().CumulativeSuspension());
-  out += ",\"suspension\":[";
-  const TimeSeries suspension_series = hub.scaling().SuspensionSeries();
-  for (const auto& s : suspension_series.samples()) {
-    out += std::to_string(s.time) + ":";
-    AppendDouble(&out, s.value);
-    out += ",";
-  }
-  out += "],\"transfers\":";
-  const auto stats = hub.scaling().UnitTransferStats();
-  out += std::to_string(stats.units) + "/" +
-         std::to_string(stats.total_transfers) + "/" +
-         std::to_string(stats.max_transfers);
-  for (int r = 0; r < 3; ++r) {
-    const auto& h = hub.scaling().StallHistogram(static_cast<StallReason>(r));
-    out += ",\"stall" + std::to_string(r) + "\":";
-    out += std::to_string(h.count()) + "/";
-    AppendDouble(&out, h.mean());
-  }
-  out += ",\"invariants\":" +
-         std::to_string(hub.invariants().order_violations) + "/" +
-         std::to_string(hub.invariants().state_miss_processing) + "/" +
-         std::to_string(hub.invariants().duplicate_processing);
-  out += ",\"recovery\":" +
-         std::to_string(hub.recovery().chunk_retransmits) + "/" +
-         std::to_string(hub.recovery().scale_aborts) + "/" +
-         std::to_string(hub.recovery().crash_recoveries) + "}";
-  return out;
-}
-
-// Applies shard `s`'s op number `op` — a deterministic function of (s, op)
-// only, so any interleaving that preserves per-shard op order produces
-// identical shard contents.
-void ApplyOp(MetricsHub* hub, int s, int op) {
-  const sim::SimTime t = sim::Seconds(1 + op) + s * 137;
-  switch (op % 6) {
-    case 0:
-      hub->RecordMarkerLatency(t, t - sim::Millis(5 + s + op));
-      break;
-    case 1:
-      hub->RecordSourceEmit(t, 1 + s);
-      hub->RecordSinkArrival(t, 1 + op % 3);
-      break;
-    case 2:
-      hub->RecordStateBytes(t, 1000 * (s + 1) + op);
-      break;
-    case 3:
-      hub->scaling().RecordStall(static_cast<StallReason>(op % 3), t,
-                                 t + sim::Millis(2 + s));
-      break;
-    case 4: {
-      const auto signal = static_cast<dataflow::SubscaleId>(s * 100 + op);
-      hub->scaling().RecordSignalInjection(signal, t);
-      hub->scaling().RecordFirstMigration(signal, t + sim::Millis(1));
-      hub->scaling().RecordStateMigrated(
-          signal, static_cast<dataflow::KeyGroupId>(op), t + sim::Millis(2));
-      break;
-    }
-    default:
-      hub->scaling().RecordUnitTransfer(
-          static_cast<dataflow::KeyGroupId>(s * 7 + op % 4),
-          static_cast<uint32_t>(op % 2));
-      hub->invariants().order_violations += s;
-      hub->recovery().chunk_retransmits += op % 2;
-      break;
-  }
-}
-
-// Populates `shards` with a shuffled completion interleaving (per-shard op
-// order preserved), merges canonically, and returns the serialized root.
-std::string MergedBytes(uint32_t shuffle_seed) {
-  constexpr int kShards = 4;   // root hub + 3 partition shards
-  constexpr int kOps = 24;
-  std::vector<MetricsHub> shards(kShards);
-
-  std::vector<int> completion_order;
-  for (int s = 0; s < kShards; ++s)
-    for (int op = 0; op < kOps; ++op) completion_order.push_back(s);
-  std::mt19937 rng(shuffle_seed);
-  std::shuffle(completion_order.begin(), completion_order.end(), rng);
-
-  int next_op[kShards] = {};
-  for (int s : completion_order) ApplyOp(&shards[s], s, next_op[s]++);
-
-  // Canonical merge: shard index order, inside the engine serial phase —
-  // mirroring ExecutionGraph::MergeHubShards exactly.
-  SerialPhaseScope serial(kEngineSerialPhase);
-  for (int s = 1; s < kShards; ++s) shards[0].MergeFrom(shards[s]);
-  return SerializeHub(shards[0]);
-}
-
-}  // namespace
-
-TEST(MetricsHubMerge, ShardMergeIsCompletionOrderInvariant) {
-  const std::string canonical = MergedBytes(/*shuffle_seed=*/1);
-  EXPECT_FALSE(canonical.empty());
-  // The serialized root must not depend on which worker finished first.
-  for (uint32_t seed = 2; seed <= 8; ++seed) {
-    EXPECT_EQ(canonical, MergedBytes(seed)) << "completion-order shuffle "
-                                            << seed << " changed the merge";
-  }
-}
-
-TEST(MetricsHubMerge, MergePreservesShardSums) {
-  const uint32_t kSeed = 42;
-  std::string merged = MergedBytes(kSeed);
-  // Sanity: the merged hub actually carries data from every shard (guards
-  // against a serializer that trivially matches because it is empty).
-  EXPECT_NE(merged.find("\"latency\":[1"), std::string::npos);
-  EXPECT_NE(merged.find("\"invariants\":"), std::string::npos);
 }
 
 }  // namespace

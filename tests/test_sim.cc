@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -49,6 +50,19 @@ TEST(EventQueue, TieBreakIsGlobalInsertionOrder) {
     f.fn(f.arg);
   }
   EXPECT_EQ(fired, (std::vector<int>{2, 4, 1, 3}));
+}
+
+TEST(EventQueue, DestroyingReleasesPendingCallbacks) {
+  // A run stopped at a horizon leaves events pending; destroying the
+  // simulator must destroy their callbacks, captures included.
+  auto payload = std::make_shared<int>(7);
+  {
+    Simulator sim;
+    sim.ScheduleAt(Seconds(100), [payload] {});
+    sim.RunUntil(Seconds(10));
+    EXPECT_EQ(payload.use_count(), 2);
+  }
+  EXPECT_EQ(payload.use_count(), 1);
 }
 
 TEST(EventQueue, PeekTimeEmpty) {

@@ -128,8 +128,6 @@ def run_campaign(fig, spec, args, out_dir):
     cmd = [binary, "--no-series", f"--json-summary={summary_base}"]
     if args.scale != 1.0:
         cmd += ["--scale", str(args.scale)]
-    if args.threads != 1:
-        cmd += [f"--threads={args.threads}"]
     if args.telemetry and spec.get("telemetry"):
         cmd.append("--telemetry")
     if args.trace:
@@ -248,7 +246,6 @@ def main():
     parser.add_argument("--emit-dir", default=".",
                         help="where BENCH_fig*.json live (default: .)")
     parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 2,
                         help="campaigns run in parallel (default: cores)")
     parser.add_argument("--row", default=None,

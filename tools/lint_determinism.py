@@ -25,39 +25,17 @@ drrs-unordered-iteration) that see through typedefs, `auto` and member
 getters, so those two REGEX rules are retired here for the .cc/.cpp files
 the plugin analyses as translation units. Headers keep every regex rule:
 the plugin's diagnostics are filtered to each TU's main file, so a header
-hazard would otherwise go unreported. Rules 2, 4 and 5 stay regex-enforced
-everywhere (no clang toolchain needed to run them).
+hazard would otherwise go unreported. Rule 2 stays regex-enforced
+everywhere (no clang toolchain needed to run it).
 
-The partitioned simulation backend adds two thread rules, scoped to
-src/sim and src/net (the only directories that may run on worker
-threads):
-
-  4. thread-hazard — logic keyed on thread identity: std::this_thread,
-     std::thread::id / .get_id(), pthread_self(), thread_local. Which
-     worker runs a partition is a scheduling accident; any decision that
-     reads it makes output depend on thread count. Never waivable.
-  5. thread-shared-state — declarations of cross-thread mutable state
-     (std::mutex, std::condition_variable, the annotated drrs::Mutex /
-     drrs::CondVar wrappers from common/thread_annotations.h, std::atomic,
-     std::thread, non-const statics). Shared mutable state is where
-     nondeterminism enters a parallel run, so every instance must be
-     deliberate: the mailbox lanes and the worker-pool rendezvous are the
-     sanctioned sites, waived in place.
-
-A finding can be waived only when it is provably benign (e.g. an
-order-independent fold, or mailbox internals drained in canonical order
-at a barrier) by annotating the flagged line or the line above it:
+An unordered-iteration finding can be waived only when it is provably
+benign (e.g. an order-independent fold) by annotating the flagged line or
+the line above it:
 
     // lint:allow(unordered-iteration): pure min-fold; order-independent.
-    // lint:allow(thread-shared-state): lane mutex; drained at barriers.
 
-A thread-shared-state waiver also covers a contiguous run of flagged
-declarations directly beneath it (a mutex + the condvars it guards reads
-as one sanctioned group), and extends through a declaration that spans
-multiple physical lines until its terminating `;` — a waiver above
-`std::array<\n  std::atomic<...>, N> x_;` covers the second line too.
-The reason text is mandatory. Wall-clock, RNG and thread-hazard findings
-are not waivable.
+The reason text is mandatory. Wall-clock and RNG findings are not
+waivable.
 
 Exit status: 0 when clean, 1 when findings exist, 2 on usage errors.
 """
@@ -80,11 +58,11 @@ DECISION_PATH_DIRS = (
     "src/net",
     "src/state",
     # Overload control: every shed/throttle decision must be a pure function
-    # of (seed, event order) or bit-identity across thread counts breaks.
+    # of (seed, event order) or same-seed runs stop being bit-identical.
     "src/overload",
-    # Telemetry: samples ride the engine-global timer grid and feed committed
+    # Telemetry: samples ride the simulator's event order and feed committed
     # CSV/JSON artifacts, so any wall-clock or iteration-order hazard here
-    # breaks byte-identity across --threads.
+    # breaks same-seed byte-identity.
     "src/telemetry",
 )
 CXX_EXTENSIONS = (".h", ".cc", ".cpp", ".hpp")
@@ -121,37 +99,6 @@ RANGE_FOR = re.compile(r"\bfor\s*\(\s*[^;()]*?\s:\s*([^;)]+)")
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 ALLOW = re.compile(r"//\s*lint:allow\(unordered-iteration\):\s*\S")
 DECL_NAME = re.compile(r">\s+(\w+)\s*(;|=|\{)")
-
-# ---- rules 4+5: threading (src/sim + src/net only) -------------------------
-THREAD_RULE_DIRS = ("src/sim", "src/net")
-THREAD_HAZARD = re.compile(
-    r"std::this_thread"
-    r"|std::thread::id"
-    r"|\.get_id\s*\("
-    r"|\bpthread_self\s*\("
-    r"|\bthread_local\b"
-)
-# Declarations of cross-thread mutable state. The `[^<>(]*\s\w+\s*[;{=(]`
-# tail requires a declared name, which keeps `std::lock_guard<std::mutex>`
-# and other template-argument mentions from matching. The annotated
-# drrs::Mutex / drrs::CondVar wrappers (common/thread_annotations.h) are
-# still mutexes and condvars — declaring one is declaring shared state, so
-# they match too (`Mutex\b` does not match inside `MutexLock`, which is a
-# scoped guard, not new state).
-SHARED_MUTABLE = re.compile(
-    r"std::(mutex|recursive_mutex|shared_mutex|timed_mutex"
-    r"|condition_variable(_any)?|thread)\b[^<>(]*\s\w+\s*[;{=]"
-    r"|\b(drrs::)?(Mutex|CondVar)\s+\w+\s*[,;{=]"
-    r"|std::atomic\s*<"
-    r"|std::vector\s*<\s*std::thread\s*>"
-)
-# An atomic appearing only as a reference/return type is plumbing, not a new
-# shared-state site; the declaration it refers to is flagged where it lives.
-ATOMIC_REF = re.compile(r"std::atomic\s*<[^<>]*>\s*&")
-# Mutable static storage: `static` (optionally inline) not const/constexpr.
-# Function declarations/static_assert carry a `(` and are excluded below.
-MUTABLE_STATIC = re.compile(r"^\s*(inline\s+)?static\s+(?!const\b|constexpr\b)")
-ALLOW_THREAD = re.compile(r"//\s*lint:allow\(thread-shared-state\):\s*\S")
 
 KEYWORDS = {
     "auto", "const", "if", "else", "for", "while", "return", "break",
@@ -191,37 +138,6 @@ def line_is_waived(lines, idx):
     return False
 
 
-# A declaration can span physical lines; a waiver must cover all of them,
-# not just the first. Cap how far a waiver can reach so an unterminated
-# statement (macro soup, lambda body) cannot swallow the rest of the file.
-MAX_WAIVER_SPAN = 10
-
-
-def thread_waiver_spans(lines):
-    """0-based indexes covered by a thread-shared-state waiver, extended
-    through the (possibly multi-line) declaration the waiver annotates.
-
-    A waiver comment covers code on its own line plus following lines until
-    the statement terminates (a `;` outside the comment), bounded by
-    MAX_WAIVER_SPAN. The caller still applies the contiguous-run rule on
-    top (a flagged declaration directly beneath a waived one is waived).
-    """
-    covered = set()
-    for i, raw in enumerate(lines):
-        if not ALLOW_THREAD.search(raw):
-            continue
-        # Start at the waiver's own line (trailing-comment form) and walk
-        # until the annotated declaration ends.
-        for j in range(i, min(i + 1 + MAX_WAIVER_SPAN, len(lines))):
-            covered.add(j)
-            code = lines[j].split("//", 1)[0]
-            if j > i and ";" in code:
-                break
-            if j == i and ";" in code and code.strip():
-                break
-    return covered
-
-
 def read_lines(path):
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
@@ -229,11 +145,6 @@ def read_lines(path):
     except OSError as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-
-
-def in_thread_scope(path):
-    normalized = path.replace(os.sep, "/")
-    return any(f"{d}/" in normalized for d in THREAD_RULE_DIRS)
 
 
 def plugin_covers(path):
@@ -249,44 +160,11 @@ def plugin_covers(path):
 
 def lint_file(path, lines, hazardous):
     findings = []
-    thread_scope = in_thread_scope(path)
     ast_covered = plugin_covers(path)
-    # Thread-shared-state waivers extend through a contiguous run of flagged
-    # declarations: track which prior line indexes (0-based) were waived.
-    thread_waived = set()
-    waiver_spans = thread_waiver_spans(lines) if thread_scope else set()
     for idx, raw in enumerate(lines, start=1):
         # Strip line comments so commented-out code can't trip the rules,
         # but keep the comment text around for the allow check.
         code = raw.split("//", 1)[0]
-
-        if thread_scope:
-            m = THREAD_HAZARD.search(code)
-            if m:
-                findings.append(Finding(
-                    path, idx, "thread-hazard",
-                    f"thread-identity-dependent logic `{m.group(0).strip()}`; "
-                    "which worker runs a partition is a scheduling accident "
-                    "and must not influence simulation decisions (not "
-                    "waivable)"))
-            shared = SHARED_MUTABLE.search(code) and not ATOMIC_REF.search(code)
-            if not shared and "(" not in code:
-                shared = MUTABLE_STATIC.search(code)
-            if shared:
-                i = idx - 1  # 0-based index of this line
-                waived = (i in waiver_spans
-                          or ALLOW_THREAD.search(lines[i])
-                          or (i > 0 and (ALLOW_THREAD.search(lines[i - 1])
-                                         or i - 1 in thread_waived)))
-                if waived:
-                    thread_waived.add(i)
-                else:
-                    findings.append(Finding(
-                        path, idx, "thread-shared-state",
-                        "cross-thread mutable state declared outside a "
-                        "sanctioned site; waive with `// lint:allow("
-                        "thread-shared-state): <reason>` if access is "
-                        "barrier-ordered or otherwise deterministic"))
 
         # wall-clock and unordered-iteration are owned by drrs-tidy's AST
         # checks for the TUs it analyses; the regex only covers headers there.

@@ -177,13 +177,6 @@ def main():
     parser.add_argument("--alloc-tol", type=float, default=0.10,
                         help="relative tolerance on allocs_per_item "
                              "(default 0.10, plus 0.005 absolute slack)")
-    parser.add_argument("--min-pdes-speedup", type=float, default=2.0,
-                        help="minimum 4-thread wall-clock speedup for the "
-                             "pdes scaling bench (default 2.0)")
-    parser.add_argument("--pdes-min-cores", type=int, default=4,
-                        help="only enforce --min-pdes-speedup when the "
-                             "candidate machine reports at least this many "
-                             "hardware threads (default 4)")
     args = parser.parse_args()
 
     if args.figure:
@@ -195,30 +188,6 @@ def main():
     baseline, row_label = load_baseline(args.baseline, suite)
 
     failures = []
-
-    # Absolute gate on the PDES parallel speedup, independent of any baseline
-    # row. Wall-clock parallelism needs real cores: a 1-core container runs
-    # 4 workers at ~1x by construction, so the ratio check is conditional on
-    # the candidate machine (recorded in the bench's `cores` field).
-    pdes = doc.get("pdes")
-    if pdes is not None:
-        if not pdes.get("fingerprint_ok", False):
-            failures.append("pdes: thread count leaked into simulation "
-                            "results (fingerprint mismatch)")
-        cores = pdes.get("cores", 0)
-        speedup = pdes.get("speedup_4t", 0.0)
-        if cores >= args.pdes_min_cores:
-            ok = speedup >= args.min_pdes_speedup
-            print(f"  pdes speedup @4t: {speedup:.2f}x on {cores} cores "
-                  f"(floor {args.min_pdes_speedup:.2f}x) "
-                  f"{'OK' if ok else 'FAIL'}")
-            if not ok:
-                failures.append(
-                    f"pdes: 4-thread speedup {speedup:.2f}x < "
-                    f"{args.min_pdes_speedup:.2f}x on {cores} cores")
-        else:
-            print(f"  pdes speedup @4t: {speedup:.2f}x — informational only "
-                  f"({cores} cores < {args.pdes_min_cores})")
 
     if baseline is None:
         print(f"perf_gate: no '{suite}' row in {args.baseline} yet — "
