@@ -108,7 +108,7 @@ inline workloads::WorkloadSpec BuildByName(const std::string& name,
 /// keep `for b in bench/*; do $b; done` output compact). `--faults` arms
 /// the canonical chunk-loss schedule (see FaultConfig) on binaries that
 /// support it, for recovery-latency comparisons against the clean run.
-/// `--trace=<path>` exports a Chrome/Perfetto trace per run (DRRS_TRACE
+/// `--trace=<path>` exports a Chrome/Perfetto trace per run (DRRS_OBSERVE
 /// builds only; parsed but inert elsewhere) and `--json-summary=<path>`
 /// writes the machine-readable run summary; binaries that run several
 /// systems tag the path per run (see TaggedPath).

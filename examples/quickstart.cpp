@@ -22,8 +22,8 @@ using namespace drrs;
 
 int main(int argc, char** argv) {
   // `--trace=out.json` exports a Chrome/Perfetto trace of the run. The hook
-  // sites only exist in DRRS_TRACE builds; elsewhere the export still works
-  // but carries only track metadata.
+  // sites only exist in DRRS_OBSERVE builds; elsewhere the export still
+  // works but carries only track metadata.
   std::string trace_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;

@@ -49,7 +49,7 @@ struct StreamElement {
   // --- provenance ---
   InstanceId from_instance = 0; ///< Sender task instance (set on emission).
   /// Conservation-audit identity, assigned at first channel Push when a
-  /// verify::Auditor is installed (DRRS_AUDIT builds); 0 = untracked. The
+  /// verify::Auditor is installed (DRRS_OBSERVE builds); 0 = untracked. The
   /// field exists unconditionally so element layout — and therefore every
   /// golden trace — is identical between audit and non-audit builds.
   uint64_t audit_id = 0;

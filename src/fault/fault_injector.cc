@@ -3,8 +3,8 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "observe/observer.h"
 #include "runtime/checkpoint.h"
-#include "trace/trace_hooks.h"
 
 namespace drrs::fault {
 
@@ -144,9 +144,8 @@ bool FaultInjector::AllowTransmit(const net::Channel& channel) {
       // else re-attempts transmission when no new element is pushed.
       if (blocked_seen_.insert(&channel).second) {
         blocked_channels_.push_back(const_cast<net::Channel*>(&channel));
-        DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                        OnLinkPartitioned(channel.sender_id(),
-                                          channel.receiver_id()));
+        DRRS_OBSERVE(graph_->sim(), OnLinkPartitioned(channel.sender_id(),
+                                                      channel.receiver_id()));
       }
       return false;
     }
@@ -156,8 +155,7 @@ bool FaultInjector::AllowTransmit(const net::Channel& channel) {
 
 void FaultInjector::HealLinks() {
   ++recovery().links_healed;
-  DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                  OnLinksHealed(blocked_channels_.size()));
+  DRRS_OBSERVE(graph_->sim(), OnLinksHealed(blocked_channels_.size()));
   // Poke every channel a partition ever stopped. Channels still inside
   // another partition window simply stay blocked.
   // lint:allow(unordered-iteration): vector in deterministic first-block
@@ -195,20 +193,18 @@ net::ChunkFaultDecision FaultInjector::OnChunkTransmit(
       rng_.NextDouble() < f.drop_rate) {
     ++drops_done_;
     ++recovery().chunks_dropped;
-    DRRS_TRACE_CALL(graph_->sim()->tracer(), OnChunkFault("chunk_drop", chunk));
+    DRRS_OBSERVE(graph_->sim(), OnChunkFault("chunk_drop", chunk));
     verdict.drop = true;
     return verdict;
   }
   if (f.duplicate_rate > 0.0 && rng_.NextDouble() < f.duplicate_rate) {
     ++recovery().chunks_duplicated;
-    DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                    OnChunkFault("chunk_duplicate", chunk));
+    DRRS_OBSERVE(graph_->sim(), OnChunkFault("chunk_duplicate", chunk));
     verdict.duplicate = true;
   }
   if (f.delay_rate > 0.0 && rng_.NextDouble() < f.delay_rate) {
     ++recovery().chunks_delayed;
-    DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                    OnChunkFault("chunk_delay", chunk));
+    DRRS_OBSERVE(graph_->sim(), OnChunkFault("chunk_delay", chunk));
     verdict.extra_delay = f.delay;
   }
   return verdict;
@@ -225,8 +221,7 @@ void FaultInjector::InjectCrash(const FaultSchedule::CrashFault& crash) {
   runtime::Task* task = graph_->instance(crash.op, crash.subtask);
   DRRS_LOG(Warn) << "fault: crashing task " << task->id() << " (operator "
                  << crash.op << " subtask " << crash.subtask << ")";
-  DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                  OnCrashInjected(crash.op, crash.subtask));
+  DRRS_OBSERVE(graph_->sim(), OnCrashInjected(crash.op, crash.subtask));
   task->Crash();
   ++recovery().crashes_injected;
   dataflow::InstanceId id = task->id();
@@ -248,9 +243,9 @@ void FaultInjector::RecoverTask(dataflow::InstanceId id) {
     DRRS_LOG(Warn) << "fault: no completed checkpoint; task " << id
                    << " recovers with empty keyed state";
   }
-  DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                  OnRecoveryAction("checkpoint_restore", id,
-                                   latest != nullptr ? latest->id : 0));
+  DRRS_OBSERVE(graph_->sim(),
+               OnRecoveryAction("checkpoint_restore", id,
+                                latest != nullptr ? latest->id : 0));
   uint64_t replayed = task->Recover(*snapshot);
   ++recovery().crash_recoveries;
   recovery().replayed_elements += replayed;

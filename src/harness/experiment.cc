@@ -1,12 +1,17 @@
 #include "harness/experiment.h"
 
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
+#include "observe/observer.h"
 #include "runtime/checkpoint.h"
 #include "scaling/scale_service.h"
+#include "trace/tracer.h"
 
 namespace drrs::harness {
 
@@ -84,33 +89,23 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
   Status st = graph.Build();
   DRRS_CHECK(st.ok()) << st.ToString();
 
-  // Observers install after Build, which emits no audit/trace events.
-#if DRRS_AUDIT
-  std::optional<verify::Auditor> auditor;
-  if (config.audit) {
-    auditor.emplace();
-    sim.set_auditor(&*auditor);
-  }
-#endif
-#if DRRS_TRACE
-  // The tracer is always installed in trace builds: with no --trace path it
-  // runs ring-only, so the flight recorder is armed at bounded cost.
-  trace::Tracer::Options trace_options = config.trace;
+  // Observers install after Build, which emits no hook events. Without a
+  // trace path the tracer runs ring-only, so the flight recorder is armed at
+  // bounded cost.
+#if DRRS_OBSERVE_BUILD
+  verify::Auditor auditor;
+  sim.set_auditor(&auditor);
+  trace::Tracer::Options trace_options;
   if (config.trace_path.empty()) {
     trace_options.ring_only = true;
-  } else if (trace_options.flight_dump_path ==
-             trace::Tracer::Options{}.flight_dump_path) {
+  } else {
     trace_options.flight_dump_path = config.trace_path + ".flight.json";
   }
   trace::Tracer tracer(trace_options);
   sim.set_tracer(&tracer);
-#if DRRS_AUDIT
-  if (auditor) {
-    auditor->set_on_violation([&tracer](const verify::Violation& v) {
-      tracer.DumpFlightRecorder("audit violation: " + v.message);
-    });
-  }
-#endif
+  auditor.set_on_violation([&tracer](const verify::Violation& v) {
+    tracer.DumpFlightRecorder("audit violation: " + v.message);
+  });
 #endif
 
   // Fault machinery: a checkpoint coordinator whenever the schedule needs
@@ -163,49 +158,36 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
   // Start() so the first sample's deltas are against true zeros.
   std::unique_ptr<telemetry::TelemetryRegistry> telemetry_reg;
   if (config.telemetry.enabled) {
-    telemetry_reg =
-        std::make_unique<telemetry::TelemetryRegistry>(&graph,
-                                                       config.telemetry);
+    telemetry_reg = std::make_unique<telemetry::TelemetryRegistry>(&graph);
     if (overload_ctl) telemetry_reg->set_overload(&*overload_ctl, op);
     if (strategy != nullptr) telemetry_reg->set_strategy(strategy, op);
-#if DRRS_TRACE
-    telemetry_reg->set_tracer(&tracer);
-#endif
   }
 
   graph.Start();
 
-  // Periodic state-size sampling; self-cancels when the sources dry up so a
-  // run-to-completion horizon still terminates.
-  std::optional<sim::PeriodicProcess> state_sampler;
-  sim::PeriodicProcess* sampler_handle = nullptr;
-  if (config.state_sample_period > 0) {
-    state_sampler.emplace(
-        &sim, config.state_sample_period, config.state_sample_period, [&]() {
-          hub->RecordStateBytes(sim.now(), graph.TotalStateBytes());
+  // Samplers fire every `period` from t = period and cancel themselves once
+  // every source is exhausted, so a run-to-completion horizon still drains
+  // the event queue. Registration order is the same-instant firing order:
+  // the state sampler registers first (DESIGN.md §12).
+  std::vector<std::unique_ptr<sim::PeriodicProcess>> samplers;
+  auto add_sampler = [&](sim::SimTime period, std::function<void()> sample) {
+    const size_t self = samplers.size();
+    samplers.push_back(std::make_unique<sim::PeriodicProcess>(
+        &sim, period, period, [&, self, sample = std::move(sample)]() {
+          sample();
           for (runtime::SourceTask* s : graph.sources()) {
             if (!s->exhausted()) return;
           }
-          if (sampler_handle != nullptr) sampler_handle->Cancel();
-        });
-    sampler_handle = &*state_sampler;
-  }
-
-  // Telemetry sampling registers after the state sampler, so same-instant
-  // samples keep the state sampler first.
-  std::optional<sim::PeriodicProcess> telemetry_sampler;
-  sim::PeriodicProcess* telemetry_handle = nullptr;
-  if (telemetry_reg && config.telemetry.sample_period > 0) {
-    const sim::SimTime period = config.telemetry.sample_period;
+          samplers[self]->Cancel();
+        }));
+  };
+  add_sampler(kStateSamplePeriod, [&]() {
+    hub->RecordStateBytes(sim.now(), graph.TotalStateBytes());
+  });
+  if (telemetry_reg) {
     telemetry::TelemetryRegistry* reg = telemetry_reg.get();
-    telemetry_sampler.emplace(&sim, period, period, [&, reg]() {
-      reg->Sample(sim.now());
-      for (runtime::SourceTask* s : graph.sources()) {
-        if (!s->exhausted()) return;
-      }
-      if (telemetry_handle != nullptr) telemetry_handle->Cancel();
-    });
-    telemetry_handle = &*telemetry_sampler;
+    add_sampler(telemetry::kSamplePeriod,
+                [&sim, reg]() { reg->Sample(sim.now()); });
   }
 
   sim::SimTime horizon = config.horizon;
@@ -213,14 +195,10 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
   sim.RunUntil(horizon);
 
   ExperimentResult result;
-#if DRRS_AUDIT
-  if (auditor) {
-    // Leak checks only make sense once the event queue fully drained.
-    if (horizon == sim::kSimTimeMax) auditor->Finalize();
-    result.audit = auditor->Report();
-  }
-#endif
-#if DRRS_TRACE
+#if DRRS_OBSERVE_BUILD
+  // Leak checks only make sense once the event queue fully drained.
+  if (horizon == sim::kSimTimeMax) auditor.Finalize();
+  result.audit = auditor.Report();
   result.trace_events = tracer.event_count();
   result.flight_dumps = tracer.flight_dumps();
   if (!config.trace_path.empty()) {
@@ -243,8 +221,7 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
   if (strategy != nullptr) {
     sim::SimTime restab = metrics::DetectRestabilization(
         latency, config.scale_at,
-        result.baseline_latency_ms * config.restab_tolerance +
-            config.restab_slack_ms,
+        result.baseline_latency_ms * kRestabTolerance + kRestabSlackMs,
         config.restab_hold);
     result.scaling_period = restab - config.scale_at;
     const metrics::ScalingMetrics& sm = hub->scaling();

@@ -12,7 +12,6 @@
 #include "scaling/scale_service.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
-#include "trace/tracer.h"
 #include "verify/auditor.h"
 #include "workloads/workloads.h"
 
@@ -45,6 +44,18 @@ scaling::Mechanism MechanismFor(SystemKind kind);
 std::unique_ptr<scaling::ScalingStrategy> MakeStrategy(
     SystemKind kind, runtime::ExecutionGraph* graph);
 
+/// Restabilization detection: the run has restabilized once latency stays
+/// within kRestabTolerance x baseline + kRestabSlackMs for `restab_hold`
+/// (the paper uses 110% for 100 s; scaled-down runs use a shorter hold, and
+/// the small absolute slack absorbs measurement noise on very low
+/// baselines).
+inline constexpr double kRestabTolerance = 1.10;
+inline constexpr double kRestabSlackMs = 20.0;
+/// Period of total-state-bytes sampling into MetricsHub::state_bytes().
+/// Sampling stops once all sources are exhausted so run-to-completion
+/// experiments still drain the event queue.
+inline constexpr sim::SimTime kStateSamplePeriod = sim::Seconds(1);
+
 /// One experiment: run a workload, trigger one rescaling of the workload's
 /// scaled operator at `scale_at`, and measure.
 struct ExperimentConfig {
@@ -54,20 +65,8 @@ struct ExperimentConfig {
   /// Simulation horizon; defaults (<=0) to workload duration + 30 s.
   sim::SimTime horizon = 0;
   runtime::EngineConfig engine;
-  /// Restabilization detection (the paper uses 110% for 100 s; scaled-down
-  /// runs use a shorter hold and a small absolute slack that absorbs
-  /// measurement noise on very low baselines).
-  double restab_tolerance = 1.10;
-  double restab_slack_ms = 20.0;
+  /// How long latency must stay within the restabilization bound.
   sim::SimTime restab_hold = sim::Seconds(20);
-  /// Period of total-state-bytes sampling into MetricsHub::state_bytes()
-  /// (<= 0 disables). Sampling stops once all sources are exhausted so
-  /// run-to-completion experiments still drain the event queue.
-  sim::SimTime state_sample_period = sim::Seconds(1);
-  /// Install a verify::Auditor for the run. Only effective in DRRS_AUDIT
-  /// builds — in other builds no hook sites exist and this is a no-op, so
-  /// the field is safe to leave on.
-  bool audit = true;
   /// Deterministic fault schedule. All-defaults (`faults.any() == false`)
   /// arms nothing and keeps the run bit-identical to a fault-free build.
   /// Schedules with crashes or checkpoints get a CheckpointCoordinator.
@@ -83,15 +82,12 @@ struct ExperimentConfig {
   /// all-defaults value (`enabled == false`) constructs nothing and keeps
   /// the run bit-identical to a build without the subsystem.
   overload::OverloadOptions overload;
-  /// Export a Chrome/Perfetto trace of the run to this path. Only effective
-  /// in DRRS_TRACE builds; elsewhere no hook sites exist and the field is
+  /// Export a Chrome/Perfetto trace of the run to this path, with flight
+  /// dumps next to it as `<trace_path>.flight.json`. Only effective in
+  /// DRRS_OBSERVE builds; elsewhere no hook sites exist and the field is
   /// ignored, so benches can parse --trace unconditionally. Empty keeps the
   /// tracer in ring-only mode (flight recorder armed, no full log).
   std::string trace_path;
-  /// Tracer tuning (category mask, ring capacity, flight-dump path). When
-  /// `trace.flight_dump_path` is left at its default and `trace_path` is
-  /// set, flight dumps land next to the trace as `<trace_path>.flight.json`.
-  trace::Tracer::Options trace;
   /// Telemetry sampler (off by default). Unlike tracing this is a runtime
   /// switch, not a compile gate: when `telemetry.enabled` is false the
   /// harness constructs nothing and the run is bit-identical to a build
@@ -122,8 +118,8 @@ struct ExperimentResult {
 
   metrics::ScalingMetrics::TransferStats transfers;  ///< Meces analysis
   metrics::InvariantMonitor invariants;
-  /// Invariant-audit findings (enabled=false unless built with DRRS_AUDIT
-  /// and config.audit was set; finalized only for run-to-completion runs).
+  /// Invariant-audit findings (enabled=false unless built with DRRS_OBSERVE;
+  /// finalized only for run-to-completion runs).
   verify::AuditReport audit;
 
   uint64_t source_records = 0;
@@ -145,7 +141,7 @@ struct ExperimentResult {
   /// Pressure level at the end of the run (kOk when overload is off).
   overload::PressureLevel final_pressure = overload::PressureLevel::kOk;
 
-  /// Tracer activity (0 unless built with DRRS_TRACE).
+  /// Tracer activity (0 unless built with DRRS_OBSERVE).
   uint64_t trace_events = 0;
   uint64_t flight_dumps = 0;
 
@@ -171,9 +167,6 @@ struct ExperimentResult {
 /// Run one experiment (fresh simulator/graph per call; deterministic).
 ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
                                const ExperimentConfig& config);
-
-/// Convenience: rebuild the workload via its builder params each run.
-/// (JobGraph holds factories, so the spec can be reused across runs.)
 
 // ---- printing helpers shared by the per-figure bench binaries ----
 

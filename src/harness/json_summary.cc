@@ -253,7 +253,7 @@ std::string JsonSummary(const ExperimentResult& result) {
     const telemetry::TelemetryRegistry& reg = *result.telemetry;
     AppendU64(&out, "enabled", 1);
     out += ',';
-    AppendI64(&out, "sample_period_us", reg.options().sample_period);
+    AppendI64(&out, "sample_period_us", telemetry::kSamplePeriod);
     out += ',';
     AppendU64(&out, "samples", reg.sample_count());
     out += ',';

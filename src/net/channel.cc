@@ -6,8 +6,7 @@
 
 #include "common/logging.h"
 #include "net/fault_plane.h"
-#include "trace/trace_hooks.h"
-#include "verify/audit_hooks.h"
+#include "observe/observer.h"
 
 namespace drrs::net {
 
@@ -41,23 +40,21 @@ Channel::Channel(sim::Simulator* sim, const NetworkConfig& config,
 }
 
 void Channel::Push(StreamElement element) {
-  DRRS_AUDIT_CALL(sim_->auditor(), OnElementPushed(&element));
+  DRRS_OBSERVE(sim_, OnElementPushed(&element));
   output_queue_.push_back(std::move(element));
   if (congested() && !congestion_latched_) {
     congestion_latched_ = true;
-    DRRS_TRACE_CALL(sim_->tracer(),
-                    OnBackpressureOnset(sender_id_, receiver_id_));
+    DRRS_OBSERVE(sim_, OnBackpressureOnset(sender_id_, receiver_id_));
   }
   TryTransmit();
 }
 
 void Channel::PushPriority(StreamElement element) {
-  DRRS_AUDIT_CALL(sim_->auditor(), OnElementPushed(&element));
+  DRRS_OBSERVE(sim_, OnElementPushed(&element));
   output_queue_.push_front(std::move(element));
   if (congested() && !congestion_latched_) {
     congestion_latched_ = true;
-    DRRS_TRACE_CALL(sim_->tracer(),
-                    OnBackpressureOnset(sender_id_, receiver_id_));
+    DRRS_OBSERVE(sim_, OnBackpressureOnset(sender_id_, receiver_id_));
   }
   TryTransmit();
 }
@@ -89,7 +86,7 @@ std::vector<StreamElement> Channel::ExtractFromOutput(
     }
   }
   output_queue_.truncate(w);
-  DRRS_AUDIT_CALL(sim_->auditor(), OnElementsExtracted(extracted));
+  DRRS_OBSERVE(sim_, OnElementsExtracted(extracted));
   MaybeFireDecongest();
   return extracted;
 }
@@ -117,7 +114,7 @@ std::vector<StreamElement> Channel::ExtractFromOutputBefore(
     }
   }
   output_queue_.truncate(w);
-  DRRS_AUDIT_CALL(sim_->auditor(), OnElementsExtracted(extracted));
+  DRRS_OBSERVE(sim_, OnElementsExtracted(extracted));
   MaybeFireDecongest();
   return extracted;
 }
@@ -179,9 +176,7 @@ void Channel::TryTransmit() {
     StreamElement e = std::move(output_queue_.front());
     output_queue_.pop_front();
     sent = true;
-    DRRS_AUDIT_CALL(sim_->auditor(), OnElementTransmitted(e));
-    DRRS_TRACE_CALL(sim_->tracer(),
-                    OnElementTransmitted(e, sender_id_, receiver_id_));
+    DRRS_OBSERVE(sim_, OnElementTransmitted(e));
     double bandwidth = config_.bandwidth_bytes_per_us;
     sim::SimTime extra_delay = 0;
     bool duplicate = false;
@@ -196,7 +191,7 @@ void Channel::TryTransmit() {
           link_free_at_ =
               lost_depart + static_cast<sim::SimTime>(
                                 static_cast<double>(e.WireBytes()) / bandwidth);
-          DRRS_AUDIT_CALL(sim_->auditor(), OnChunkWireDropped(e));
+          DRRS_OBSERVE(sim_, OnChunkWireDropped(e));
           continue;
         }
         extra_delay = verdict.extra_delay;
@@ -209,9 +204,8 @@ void Channel::TryTransmit() {
     link_free_at_ = depart + transfer + extra_delay;
     sim::SimTime arrival = link_free_at_ + config_.base_latency;
     if (e.kind == dataflow::ElementKind::kStateChunk) {
-      DRRS_TRACE_CALL(sim_->tracer(),
-                      OnChunkWireFlight(e, sender_id_, receiver_id_, depart,
-                                        arrival));
+      DRRS_OBSERVE(sim_, OnChunkWireFlight(e, sender_id_, receiver_id_,
+                                           depart, arrival));
     }
     // A duplicated chunk consumes one extra credit; skip the copy when the
     // window cannot admit it (the injector only best-effort duplicates).
@@ -250,8 +244,8 @@ void Channel::FireWireEvent() {
 
 void Channel::DeliverDueBatch() {
   // RecordBatch flush: move the due prefix of the wire into the input cache
-  // element by element (audit, trace and stats stay per-record), then notify
-  // the receiver once for the whole batch.
+  // element by element (hooks and stats stay per-record), then notify the
+  // receiver once for the whole batch.
   const sim::SimTime now = sim_->now();
   size_t batch = 0;
   while (!wire_.empty() && wire_.front().arrival <= now) {
@@ -259,21 +253,16 @@ void Channel::DeliverDueBatch() {
     wire_.pop_front();
     ++delivered_elements_;
     delivered_bytes_ += e.WireBytes();
-    DRRS_AUDIT_CALL(sim_->auditor(),
-                    OnElementDelivered(e, wire_.size(),
-                                       input_queue_.size() + 1,
-                                       config_.input_buffer_capacity,
-                                       receiver_id_));
-    DRRS_TRACE_CALL(sim_->tracer(),
-                    OnElementDelivered(e, receiver_id_,
-                                       input_queue_.size() + 1));
+    DRRS_OBSERVE(sim_, OnElementDelivered(e, wire_.size(),
+                                          input_queue_.size() + 1,
+                                          config_.input_buffer_capacity,
+                                          receiver_id_));
     input_queue_.push_back(std::move(e));
     ++batch;
   }
   ++delivered_batches_;
   max_batch_size_ = std::max<uint64_t>(max_batch_size_, batch);
   ++batch_size_log2_hist_[Log2Bucket(batch)];
-  DRRS_TRACE_CALL(sim_->tracer(), OnBatchDelivered(receiver_id_, batch));
   receiver_task_->OnBatchAvailable(this, batch);
   // Note: we do not TryTransmit() here; credit was consumed, not released.
 }
@@ -300,8 +289,7 @@ void Channel::MaybeFireDecongest() {
   if (!congestion_latched_) return;
   if (output_queue_.size() >= config_.output_buffer_capacity / 2) return;
   congestion_latched_ = false;
-  DRRS_TRACE_CALL(sim_->tracer(),
-                  OnBackpressureRelease(sender_id_, receiver_id_));
+  DRRS_OBSERVE(sim_, OnBackpressureRelease(sender_id_, receiver_id_));
   for (auto& cb : decongest_listeners_) cb();
 }
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "trace/trace_hooks.h"
-#include "verify/audit_hooks.h"
+#include "observe/observer.h"
 
 namespace drrs::overload {
 
@@ -140,15 +139,15 @@ void OverloadController::Sample() {
 }
 
 void OverloadController::ApplyLevel(PressureLevel next, uint64_t backlog) {
-  // Traced only; unused in DRRS_TRACE-less builds.
+  // Observed only; unused in default builds.
   (void)backlog;
   const PressureLevel prev = level_;
   (void)prev;
   level_ = next;
   ++graph_->hub()->overload().pressure_transitions;
-  DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                  OnPressureChange(op_, static_cast<int>(prev),
-                                   static_cast<int>(next), backlog));
+  DRRS_OBSERVE(graph_->sim(),
+               OnPressureChange(op_, static_cast<int>(prev),
+                                static_cast<int>(next), backlog));
 }
 
 void OverloadController::UpdateThrottle() {
@@ -183,8 +182,8 @@ void OverloadController::UpdateThrottle() {
       // re-check immediately now that the bucket admits everything.
       s->WakeUp();
     }
-    DRRS_TRACE_CALL(
-        graph_->sim()->tracer(),
+    DRRS_OBSERVE(
+        graph_->sim(),
         OnThrottleChange(s->id(), want_throttle
                                       ? static_cast<int64_t>(per_source)
                                       : 0));
@@ -290,8 +289,7 @@ size_t OverloadController::OnArrivals(runtime::Task* task,
     if (!shed) continue;
     // Conservation accounting first (the element must still be in the input
     // cache when the auditor marks it terminal), then the removal.
-    DRRS_AUDIT_CALL(task->simulator()->auditor(),
-                    OnRecordShed(e, task->op(), task->id()));
+    DRRS_OBSERVE(task->simulator(), OnRecordShed(e, task->op(), task->id()));
     dataflow::StreamElement removed = channel->RemoveInputAt(idx);
     if (options_.record_shed_log) {
       shed_log_.push_back({task->id(), removed.key, removed.seq});
@@ -316,10 +314,10 @@ size_t OverloadController::OnArrivals(runtime::Task* task,
         om.shed_cold_key += shed_count;
         break;
     }
-    DRRS_TRACE_CALL(
-        task->simulator()->tracer(),
-        OnRecordsShed(task->id(), task->op(),
-                      static_cast<int>(options_.shed_policy), shed_count));
+    DRRS_OBSERVE(task->simulator(),
+                 OnRecordsShed(task->id(), task->op(),
+                               static_cast<int>(options_.shed_policy),
+                               shed_count));
   }
   return appended - static_cast<size_t>(shed_count);
 }

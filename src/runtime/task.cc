@@ -4,9 +4,8 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "observe/observer.h"
 #include "runtime/checkpoint.h"
-#include "trace/trace_hooks.h"
-#include "verify/audit_hooks.h"
 
 namespace drrs::runtime {
 
@@ -170,7 +169,7 @@ void Task::Unfreeze() {
 void Task::Crash() {
   DRRS_CHECK(!crashed_) << "task " << id_ << " crashed twice";
   crashed_ = true;
-  DRRS_TRACE_CALL(sim_->tracer(), OnTaskCrashed(id_));
+  DRRS_OBSERVE(sim_, OnTaskCrashed(id_));
   ExitStall();
   // Abandon an in-progress barrier alignment: the blocked channels must not
   // stay blocked across the restart (the coordinator's checkpoint simply
@@ -207,7 +206,7 @@ uint64_t Task::Recover(const std::vector<state::KeyGroupState>& snapshot) {
     }
   }
   suspend_memo_ = false;
-  DRRS_TRACE_CALL(sim_->tracer(), OnTaskRecovered(id_, replayed));
+  DRRS_OBSERVE(sim_, OnTaskRecovered(id_, replayed));
   MaybeSchedule();
   return replayed;
 }
@@ -322,9 +321,8 @@ void Task::ExitStall() {
   if (!stalled_) return;
   stalled_ = false;
   hub_->scaling().RecordStall(stall_reason_, stall_since_, sim_->now());
-  DRRS_TRACE_CALL(sim_->tracer(),
-                  OnTaskStall(id_, op_, stall_reason_, stall_since_,
-                              sim_->now()));
+  DRRS_OBSERVE(sim_, OnTaskStall(id_, op_, stall_reason_, stall_since_,
+                                 sim_->now()));
 }
 
 void Task::RunOnce() {
@@ -385,9 +383,7 @@ void Task::ProcessDataRecord(net::Channel* channel, StreamElement& element) {
     busy_until_ = sim_->now() + kControlCost;
     return;
   }
-  DRRS_AUDIT_CALL(sim_->auditor(), OnRecordProcessed(element, op_, id_));
-  DRRS_TRACE_CALL(sim_->tracer(),
-                  OnRecordProcessed(id_, op_, spec_.record_cost));
+  DRRS_OBSERVE(sim_, OnRecordProcessed(element, op_, id_));
   CheckRecordInvariants(element);
   busy_until_ = sim_->now() + spec_.record_cost;
   busy_time_ += spec_.record_cost;
@@ -403,9 +399,7 @@ void Task::ProcessDataRecord(net::Channel* channel, StreamElement& element) {
 
 void Task::ProcessRecordDirect(const StreamElement& record) {
   StreamElement copy = record;
-  DRRS_AUDIT_CALL(sim_->auditor(), OnRecordProcessed(copy, op_, id_));
-  DRRS_TRACE_CALL(sim_->tracer(),
-                  OnRecordProcessed(id_, op_, spec_.record_cost));
+  DRRS_OBSERVE(sim_, OnRecordProcessed(copy, op_, id_));
   CheckRecordInvariants(copy);
   busy_until_ = std::max(busy_until_, sim_->now()) + spec_.record_cost;
   busy_time_ += spec_.record_cost;
@@ -500,7 +494,7 @@ void Task::StampOutgoing(StreamElement* element) {
   element->from_instance = id_;
   bool stamp = check_invariants_;
   // The auditor's ordering check reuses the same per-(sender, key) stamps.
-  DRRS_AUDIT_ONLY(stamp = stamp || sim_->auditor() != nullptr;)
+  DRRS_OBSERVE_ONLY(stamp = stamp || sim_->auditor() != nullptr;)
   if (stamp && element->kind == ElementKind::kRecord) {
     element->seq = ++emit_seq_[element->key];
   }

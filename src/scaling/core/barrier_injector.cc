@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "trace/trace_hooks.h"
+#include "observe/observer.h"
 
 namespace drrs::scaling {
 
@@ -99,8 +99,8 @@ void BarrierInjector::InjectSubscale(Task* pred, dataflow::OperatorId op,
   if (!decoupled) {
     // Coupled signal: one FIFO barrier doubling as routing confirmation and
     // migration trigger (alignment happens at the source instance).
-    DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                    OnBarrierInjected(scale, s.id, pred->id(), /*shape=*/0));
+    DRRS_OBSERVE(graph_->sim(),
+                 OnBarrierInjected(scale, s.id, pred->id(), /*shape=*/0));
     to_old->Push(std::move(confirm));
     return;
   }
@@ -124,8 +124,8 @@ void BarrierInjector::InjectSubscale(Task* pred, dataflow::OperatorId op,
         to_old->ExtractFromOutputBefore(in_subscale, is_ckpt);
     for (StreamElement& e : moved) to_new->Push(std::move(e));
     confirm.value = 1;  // integrated: acts as trigger + confirm
-    DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                    OnBarrierInjected(scale, s.id, pred->id(), /*shape=*/1));
+    DRRS_OBSERVE(graph_->sim(),
+                 OnBarrierInjected(scale, s.id, pred->id(), /*shape=*/1));
     bool inserted = to_old->InsertAfterFirst(is_ckpt, confirm);
     DRRS_CHECK(inserted);
     return;
@@ -137,8 +137,8 @@ void BarrierInjector::InjectSubscale(Task* pred, dataflow::OperatorId op,
   std::vector<StreamElement> moved = to_old->ExtractFromOutput(in_subscale);
   for (StreamElement& e : moved) to_new->Push(std::move(e));
 
-  DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                  OnBarrierInjected(scale, s.id, pred->id(), /*shape=*/2));
+  DRRS_OBSERVE(graph_->sim(),
+               OnBarrierInjected(scale, s.id, pred->id(), /*shape=*/2));
   StreamElement trigger =
       Make(ElementKind::kTriggerBarrier, scale, s.id, pred->id());
   to_old->PushBypass(std::move(trigger));

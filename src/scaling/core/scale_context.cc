@@ -1,8 +1,7 @@
 #include "scaling/core/scale_context.h"
 
 #include "common/logging.h"
-#include "trace/trace_hooks.h"
-#include "verify/audit_hooks.h"
+#include "observe/observer.h"
 
 namespace drrs::scaling {
 
@@ -11,8 +10,7 @@ dataflow::ScaleId ScaleContext::BeginScale() {
   session_ = TransferSession(&transfer_, id);
   active_ = true;
   hub_->scaling().RecordScaleStart(graph_->sim()->now());
-  DRRS_AUDIT_CALL(graph_->sim()->auditor(), OnScaleBegin(id));
-  DRRS_TRACE_CALL(graph_->sim()->tracer(), OnScaleBegin(id));
+  DRRS_OBSERVE(graph_->sim(), OnScaleBegin(id));
   return id;
 }
 
@@ -22,18 +20,12 @@ void ScaleContext::AttachHook(runtime::Task* task, runtime::TaskHook* hook) {
 }
 
 void ScaleContext::OpenSubscale(dataflow::SubscaleId id) {
-  DRRS_AUDIT_CALL(graph_->sim()->auditor(),
-                  OnSubscaleOpen(session_.scale(), id));
-  DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                  OnSubscaleOpen(session_.scale(), id));
+  DRRS_OBSERVE(graph_->sim(), OnSubscaleOpen(session_.scale(), id));
   open_subscales_.insert(id);
 }
 
 void ScaleContext::CloseSubscale(dataflow::SubscaleId id) {
-  DRRS_AUDIT_CALL(graph_->sim()->auditor(),
-                  OnSubscaleClose(session_.scale(), id));
-  DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                  OnSubscaleClose(session_.scale(), id));
+  DRRS_OBSERVE(graph_->sim(), OnSubscaleClose(session_.scale(), id));
   open_subscales_.erase(id);
 }
 
@@ -44,7 +36,7 @@ size_t ScaleContext::ForceCompleteTransfers() {
 
 bool ScaleContext::AbortActiveScale() {
   if (!active_) return false;
-  DRRS_TRACE_CALL(graph_->sim()->tracer(), OnScaleAborted(session_.scale()));
+  DRRS_OBSERVE(graph_->sim(), OnScaleAborted(session_.scale()));
   // Close subscales on a copy: CloseSubscale mutates open_subscales_.
   std::set<dataflow::SubscaleId> open = open_subscales_;
   for (dataflow::SubscaleId id : open) CloseSubscale(id);
@@ -54,16 +46,14 @@ bool ScaleContext::AbortActiveScale() {
 }
 
 void ScaleContext::EndScale() {
+  DRRS_OBSERVE(graph_->sim(),
+               OnScaleEnd(session_.scale(), open_subscales_.size(),
+                          session_.valid() ? session_.in_flight() : 0));
   bool enforce = true;
-#if DRRS_AUDIT
-  if (verify::Auditor* auditor = graph_->sim()->auditor()) {
-    // The auditor records protocol violations (open subscales, transfer
-    // leaks) instead of aborting, so fault-injection tests can observe them.
-    auditor->OnScaleEnd(session_.scale(), open_subscales_.size(),
-                        session_.valid() ? session_.in_flight() : 0);
-    enforce = false;
-  }
-#endif
+  // An installed auditor records protocol violations (open subscales,
+  // transfer leaks) instead of aborting, so fault-injection tests can
+  // observe them.
+  DRRS_OBSERVE_ONLY(enforce = graph_->sim()->auditor() == nullptr;)
   if (enforce && session_.valid()) {
     DRRS_CHECK(session_.in_flight() == 0)
         << "state transfer leak: " << session_.in_flight()
@@ -71,7 +61,6 @@ void ScaleContext::EndScale() {
         << " still in transit at completion";
   }
   hub_->scaling().RecordScaleEnd(graph_->sim()->now());
-  DRRS_TRACE_CALL(graph_->sim()->tracer(), OnScaleEnd(session_.scale()));
   for (runtime::Task* t : hooked_) {
     t->set_hook(nullptr);
     t->WakeUp();

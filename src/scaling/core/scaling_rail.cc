@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "trace/trace_hooks.h"
-#include "verify/audit_hooks.h"
+#include "observe/observer.h"
 
 namespace drrs::scaling {
 
@@ -17,8 +16,7 @@ net::Channel* ScalingRails::Open(runtime::Task* from, runtime::Task* to,
   std::vector<net::Channel*>& rails = by_source_[from->id()];
   if (std::find(rails.begin(), rails.end(), rail) == rails.end()) {
     rails.push_back(rail);
-    DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                    OnRailSeeded(from->id(), to->id()));
+    DRRS_OBSERVE(graph_->sim(), OnRailSeeded(from->id(), to->id()));
     if (seed_watermark) SeedWatermark(rail, from);
   }
   return rail;
@@ -44,10 +42,8 @@ void ScalingRails::ForwardWatermark(runtime::Task* from, sim::SimTime wm) {
 void ScalingRails::PushComplete(net::Channel* rail, dataflow::InstanceId from,
                                 dataflow::ScaleId scale,
                                 dataflow::SubscaleId subscale) {
-  DRRS_AUDIT_CALL(graph_->sim()->auditor(),
-                  OnCompleteSent(scale, subscale, from, rail->receiver_id()));
-  DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                  OnCompleteSent(scale, subscale, from, rail->receiver_id()));
+  DRRS_OBSERVE(graph_->sim(),
+               OnCompleteSent(scale, subscale, from, rail->receiver_id()));
   StreamElement done;
   done.kind = ElementKind::kScaleComplete;
   done.scale_id = scale;
@@ -62,20 +58,15 @@ void ScalingRails::Release(net::Channel* rail) {
   auto pos = std::find(it->second.begin(), it->second.end(), rail);
   if (pos == it->second.end()) return;
   it->second.erase(pos);
-  DRRS_AUDIT_CALL(graph_->sim()->auditor(),
-                  OnRailReleased(rail->sender_id(), rail->receiver_id()));
-  DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                  OnRailReleased(rail->sender_id(), rail->receiver_id()));
+  DRRS_OBSERVE(graph_->sim(),
+               OnRailReleased(rail->sender_id(), rail->receiver_id()));
   graph_->task(rail->receiver_id())->ClearSideWatermark(rail->sender_id());
 }
 
 void ScalingRails::ReleaseAll() {
   for (const auto& [from, rails] : by_source_) {
     for (net::Channel* rail : rails) {
-      DRRS_AUDIT_CALL(graph_->sim()->auditor(),
-                      OnRailReleased(from, rail->receiver_id()));
-      DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                      OnRailReleased(from, rail->receiver_id()));
+      DRRS_OBSERVE(graph_->sim(), OnRailReleased(from, rail->receiver_id()));
       graph_->task(rail->receiver_id())->ClearSideWatermark(from);
     }
   }

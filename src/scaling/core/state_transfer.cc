@@ -4,9 +4,8 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "observe/observer.h"
 #include "runtime/execution_graph.h"
-#include "trace/trace_hooks.h"
-#include "verify/audit_hooks.h"
 
 namespace drrs::scaling {
 
@@ -62,10 +61,7 @@ uint64_t StateTransfer::Enqueue(runtime::Task* from, net::Channel* rail,
   transit.wire_buffer = sim_->arena()->AllocateBlock(bytes);
   staging_bytes_ += bytes;
   peak_staging_bytes_ = std::max(peak_staging_bytes_, staging_bytes_);
-  DRRS_AUDIT_CALL(sim_->auditor(),
-                  OnChunkEnqueued(chunk, from->id(), rail->receiver_id()));
-  DRRS_TRACE_CALL(sim_->tracer(),
-                  OnChunkEnqueued(id, chunk, from->id(), rail->receiver_id()));
+  DRRS_OBSERVE(sim_, OnChunkEnqueued(chunk, from->id(), rail->receiver_id()));
   if (priority) {
     rail->PushPriority(std::move(chunk));
   } else {
@@ -126,8 +122,7 @@ void StateTransfer::OnAckTimeout(uint64_t id) {
   }
   ++transit.attempts;
   if (hub_ != nullptr) ++hub_->recovery().chunk_retransmits;
-  DRRS_AUDIT_CALL(sim_->auditor(), OnChunkRetransmitted(id));
-  DRRS_TRACE_CALL(sim_->tracer(), OnChunkRetransmitted(id, transit.attempts));
+  DRRS_OBSERVE(sim_, OnChunkRetransmitted(id, transit.attempts));
   // Priority re-send: the retransmission must not queue behind a backlog
   // that already overtook the lost chunk once.
   transit.rail->PushPriority(transit.chunk);
@@ -174,19 +169,17 @@ bool StateTransfer::Install(runtime::Task* to, const StreamElement& chunk) {
     // A chunk whose scale was aborted mid-flight is dropped on arrival —
     // persistently, since a retransmission can surface the same id again.
     if (aborted_.count(chunk.seq) > 0) {
-      DRRS_AUDIT_CALL(to->simulator()->auditor(),
-                      OnChunkDroppedAborted(chunk));
+      DRRS_OBSERVE(to->simulator(), OnChunkDroppedAborted(chunk));
       return false;
     }
     // Reliability mode: an already-installed id is a duplicated delivery or
     // a late retransmission — suppressed idempotently.
     if (policy_.enabled && installed_.count(chunk.seq) > 0) {
       if (hub_ != nullptr) ++hub_->recovery().duplicate_installs_suppressed;
-      DRRS_AUDIT_CALL(to->simulator()->auditor(),
-                      OnChunkDuplicateSuppressed(chunk));
+      DRRS_OBSERVE(to->simulator(), OnChunkDuplicateSuppressed(chunk));
       return false;
     }
-#if DRRS_AUDIT
+#if DRRS_OBSERVE_BUILD
     if (verify::Auditor* auditor = to->simulator()->auditor()) {
       // Under audit a duplicated/corrupted chunk is a recorded violation,
       // not a process abort, so fault-injection tests can assert on it.
@@ -216,9 +209,7 @@ bool StateTransfer::Install(runtime::Task* to, const StreamElement& chunk) {
     }
   }
   if (policy_.enabled) installed_.insert(chunk.seq);
-  DRRS_AUDIT_CALL(to->simulator()->auditor(), OnChunkInstalled(chunk, to->id()));
-  DRRS_TRACE_CALL(to->simulator()->tracer(),
-                  OnChunkInstalled(chunk.seq, to->id()));
+  DRRS_OBSERVE(to->simulator(), OnChunkInstalled(chunk, to->id()));
   return true;
 }
 
@@ -255,10 +246,7 @@ size_t StateTransfer::ForceComplete(dataflow::ScaleId scale,
     aborted_.insert(id);
     ++installed;
     if (hub != nullptr) ++hub->recovery().forced_chunk_installs;
-    DRRS_AUDIT_CALL(sim_ != nullptr ? sim_->auditor() : nullptr,
-                    OnChunkForceInstalled(id, transit.to));
-    DRRS_TRACE_CALL(sim_ != nullptr ? sim_->tracer() : nullptr,
-                    OnChunkForceInstalled(id, transit.to));
+    DRRS_OBSERVE(to->simulator(), OnChunkForceInstalled(id, transit.to));
     to->WakeUp();
   }
   return installed;
@@ -267,10 +255,8 @@ size_t StateTransfer::ForceComplete(dataflow::ScaleId scale,
 void StateTransfer::AbortScale(dataflow::ScaleId scale) {
   for (auto it = in_transit_.begin(); it != in_transit_.end();) {
     if (it->second.scale == scale) {
-      DRRS_AUDIT_CALL(sim_ != nullptr ? sim_->auditor() : nullptr,
-                      OnChunkAborted(it->first));
-      DRRS_TRACE_CALL(sim_ != nullptr ? sim_->tracer() : nullptr,
-                      OnChunkAborted(it->first));
+      // An in-flight entry implies Enqueue ran, so sim_ is set.
+      DRRS_OBSERVE(sim_, OnChunkAborted(it->first));
       aborted_.insert(it->first);
       ReleaseWireBuffer(&it->second);
       it = in_transit_.erase(it);

@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "observe/observer.h"
 #include "scaling/meces.h"
-#include "trace/trace_hooks.h"
 #include "scaling/otfs.h"
 #include "scaling/planner.h"
 #include "scaling/unbound.h"
@@ -128,9 +128,9 @@ Status ScaleService::RequestRescale(dataflow::OperatorId op,
     if (breaker->state() != prev) {
       // Open -> HalfOpen: this request runs as the probe.
       ++graph_->hub()->overload().breaker_probes;
-      DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                      OnBreakerTransition(op, static_cast<int>(prev),
-                                          static_cast<int>(breaker->state())));
+      DRRS_OBSERVE(graph_->sim(),
+                   OnBreakerTransition(op, static_cast<int>(prev),
+                                       static_cast<int>(breaker->state())));
     }
   }
   // A fresh user request starts with a clean abort budget; only the
@@ -225,9 +225,9 @@ void ScaleService::OnDeadline(dataflow::OperatorId op, uint64_t epoch) {
   // own budget instead of aborting mid-flight.
   ScaleStage stage = strategy->stage();
   if (stage > w.armed_stage) {
-    DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                    OnScaleStageProgress(op, static_cast<int>(w.armed_stage),
-                                         static_cast<int>(stage)));
+    DRRS_OBSERVE(graph_->sim(),
+                 OnScaleStageProgress(op, static_cast<int>(w.armed_stage),
+                                      static_cast<int>(stage)));
     ArmDeadline(op, w.target);
     return;
   }
@@ -237,13 +237,8 @@ void ScaleService::OnDeadline(dataflow::OperatorId op, uint64_t epoch) {
     // still runs so the job returns to quiescent ownership (roll-forward
     // leaves the planned assignment in place).
     ++recovery.scale_cancellations;
-    DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                    OnScaleWatchdog(op, w.attempts, /*cancelled=*/true));
-    DRRS_TRACE_ONLY({
-      if (trace::Tracer* t = graph_->sim()->tracer()) {
-        t->DumpFlightRecorder("scale cancelled: deadline budget exhausted");
-      }
-    });
+    DRRS_OBSERVE(graph_->sim(),
+                 OnScaleWatchdog(op, w.attempts, /*cancelled=*/true));
     DRRS_LOG(Error) << "scale-retry: cancelling rescale of operator " << op
                     << " to parallelism " << w.target << " after "
                     << w.attempts << " aborted attempt(s): "
@@ -258,13 +253,8 @@ void ScaleService::OnDeadline(dataflow::OperatorId op, uint64_t epoch) {
   uint32_t attempt = w.attempts;
   ++recovery.scale_aborts;
   RecordBreakerFailure(op);
-  DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                  OnScaleWatchdog(op, attempt, /*cancelled=*/false));
-  DRRS_TRACE_ONLY({
-    if (trace::Tracer* t = graph_->sim()->tracer()) {
-      t->DumpFlightRecorder("scale aborted: missed progress deadline");
-    }
-  });
+  DRRS_OBSERVE(graph_->sim(),
+               OnScaleWatchdog(op, attempt, /*cancelled=*/false));
   DRRS_LOG(Warn) << "scale-retry: operator " << op
                  << " missed its progress deadline, aborting (attempt "
                  << attempt << "/" << options_.retry.max_attempts << ")";
@@ -307,9 +297,9 @@ void ScaleService::RetryAfterAbort(dataflow::OperatorId op) {
     }
     if (breaker->state() != prev) {
       ++graph_->hub()->overload().breaker_probes;
-      DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                      OnBreakerTransition(op, static_cast<int>(prev),
-                                          static_cast<int>(breaker->state())));
+      DRRS_OBSERVE(graph_->sim(),
+                   OnBreakerTransition(op, static_cast<int>(prev),
+                                       static_cast<int>(breaker->state())));
     }
   }
   ++graph_->hub()->recovery().scale_retries;
@@ -346,9 +336,9 @@ void ScaleService::RecordBreakerFailure(dataflow::OperatorId op) {
     ++graph_->hub()->overload().breaker_opens;
   }
   if (breaker->state() != prev) {
-    DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                    OnBreakerTransition(op, static_cast<int>(prev),
-                                        static_cast<int>(breaker->state())));
+    DRRS_OBSERVE(graph_->sim(),
+                 OnBreakerTransition(op, static_cast<int>(prev),
+                                     static_cast<int>(breaker->state())));
   }
 }
 
@@ -358,9 +348,9 @@ void ScaleService::RecordBreakerSuccess(dataflow::OperatorId op) {
   const auto prev = breaker->state();
   breaker->OnSuccess();
   if (breaker->state() != prev) {
-    DRRS_TRACE_CALL(graph_->sim()->tracer(),
-                    OnBreakerTransition(op, static_cast<int>(prev),
-                                        static_cast<int>(breaker->state())));
+    DRRS_OBSERVE(graph_->sim(),
+                 OnBreakerTransition(op, static_cast<int>(prev),
+                                     static_cast<int>(breaker->state())));
   }
 }
 

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "verify/audit_hooks.h"
+#include "observe/observer.h"
 
 namespace drrs::sim {
 
@@ -39,7 +39,8 @@ SimTime EventQueue::PeekTime() const {
 EventQueue::Fired EventQueue::Pop() {
   DRRS_CHECK(!heap_.empty());
   Event top = heap_.front();
-  DRRS_AUDIT_CALL(auditor_, OnEventPopped(top.time, top.seq));
+  DRRS_OBSERVE_ONLY(
+      if (auditor_ != nullptr) auditor_->OnEventPopped(top.time, top.seq);)
   Event last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {

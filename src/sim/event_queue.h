@@ -21,7 +21,7 @@ namespace drrs::sim {
 /// sequence). This is a hard guarantee, not a heap accident — the comparator
 /// orders on (time, seq) and seq is unique — so simulations are fully
 /// deterministic even when many events share a timestamp. The determinism
-/// auditor (verify::Auditor, DRRS_AUDIT builds) checks the rule on every pop
+/// auditor (verify::Auditor, DRRS_OBSERVE builds) checks the rule on every pop
 /// and counts same-time pops as tie-break hazards.
 ///
 /// The heap entry is a 32-byte POD `{time, seq, fn, arg}`: sift moves are
@@ -77,7 +77,7 @@ class EventQueue {
   /// scheduled_count(); `scheduled_count() - popped_count() == size()`.
   uint64_t popped_count() const { return popped_; }
 
-  /// Auditor notified on every pop (DRRS_AUDIT builds; ignored otherwise).
+  /// Auditor notified on every pop (DRRS_OBSERVE builds; ignored otherwise).
   void set_auditor(verify::Auditor* auditor) { auditor_ = auditor; }
 
  private:

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "trace/trace_hooks.h"
+#include "observe/observer.h"
 #include "trace/tracer.h"
 #include "verify/auditor.h"
 
@@ -39,7 +39,7 @@ uint64_t Simulator::RunUntil(SimTime horizon) {
     f.fn(f.arg);
     ++n;
     ++executed_;
-    DRRS_TRACE_CALL(tracer_, OnEventExecuted(now_, queue_.size()));
+    DRRS_OBSERVE(this, OnEventExecuted(now_, queue_.size()));
   }
   // The clock does not advance past the last executed event; callers that
   // want now() == horizon after a quiet period schedule a sentinel event.
@@ -52,7 +52,7 @@ bool Simulator::Step() {
   now_ = f.time;
   f.fn(f.arg);
   ++executed_;
-  DRRS_TRACE_CALL(tracer_, OnEventExecuted(now_, queue_.size()));
+  DRRS_OBSERVE(this, OnEventExecuted(now_, queue_.size()));
   return true;
 }
 

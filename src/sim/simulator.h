@@ -70,7 +70,7 @@ class Simulator {
 
   /// Install (or clear, with nullptr) the invariant auditor. The pointer is
   /// forwarded to the event queue and read by every engine hook site; the
-  /// hooks themselves only exist in DRRS_AUDIT builds.
+  /// hooks themselves only exist in DRRS_OBSERVE builds (observe/observer.h).
   void set_auditor(verify::Auditor* auditor);
   verify::Auditor* auditor() const { return auditor_; }
 
@@ -81,7 +81,7 @@ class Simulator {
 
   /// Install (or clear, with nullptr) the structured tracer. Like the
   /// auditor, the member exists in every build so layout is identical, but
-  /// hook sites that read it only exist in DRRS_TRACE builds (trace_hooks.h).
+  /// hook sites that read it only exist in DRRS_OBSERVE builds.
   void set_tracer(trace::Tracer* tracer);
   trace::Tracer* tracer() const { return tracer_; }
 

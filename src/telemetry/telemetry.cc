@@ -6,11 +6,11 @@
 #include "metrics/histogram.h"
 #include "metrics/metrics_hub.h"
 #include "net/channel.h"
+#include "observe/observer.h"
 #include "overload/overload_controller.h"
 #include "runtime/execution_graph.h"
 #include "runtime/task.h"
 #include "scaling/strategy.h"
-#include "trace/tracer.h"
 
 namespace drrs::telemetry {
 
@@ -101,12 +101,8 @@ double RingSeries::Last() const {
 
 // ---- TelemetryRegistry -----------------------------------------------------
 
-TelemetryRegistry::TelemetryRegistry(runtime::ExecutionGraph* graph,
-                                     const TelemetryOptions& options)
-    : graph_(graph),
-      options_(options),
-      latency_p50_(options.ring_capacity),
-      latency_p99_(options.ring_capacity) {
+TelemetryRegistry::TelemetryRegistry(runtime::ExecutionGraph* graph)
+    : graph_(graph), latency_p50_(kRingCapacity), latency_p99_(kRingCapacity) {
   const size_t ops = graph->job().operators().size();
   op_names_.reserve(ops);
   series_.reserve(ops);
@@ -117,7 +113,7 @@ TelemetryRegistry::TelemetryRegistry(runtime::ExecutionGraph* graph,
     std::vector<RingSeries> per_kind;
     per_kind.reserve(kSeriesKindCount);
     for (size_t k = 0; k < kSeriesKindCount; ++k) {
-      per_kind.emplace_back(options_.ring_capacity);
+      per_kind.emplace_back(kRingCapacity);
     }
     series_.push_back(std::move(per_kind));
   }
@@ -145,10 +141,10 @@ void TelemetryRegistry::Sample(sim::SimTime t) {
   const double dt = sim::ToSeconds(t - last_time_);
   const size_t ops = series_.size();
   for (size_t op = 0; op < ops; ++op) {
-    const OpCounters cur = ReadCounters(static_cast<dataflow::OperatorId>(op));
+    const auto id = static_cast<dataflow::OperatorId>(op);
+    const OpCounters cur = ReadCounters(id);
     const OpCounters& prev = prev_[op];
-    const auto& instances =
-        graph_->instances_of(static_cast<dataflow::OperatorId>(op));
+    const auto& instances = graph_->instances_of(id);
 
     double in_rate = 0, out_rate = 0, svc_rate = 0, util = 0;
     if (dt > 0) {
@@ -169,13 +165,11 @@ void TelemetryRegistry::Sample(sim::SimTime t) {
       }
     }
     double pressure = 0;
-    if (overload_ != nullptr &&
-        static_cast<dataflow::OperatorId>(op) == overload_op_) {
+    if (overload_ != nullptr && id == overload_op_) {
       pressure = static_cast<double>(overload_->level());
     }
     double migration = 0;
-    if (strategy_ != nullptr &&
-        static_cast<dataflow::OperatorId>(op) == scaled_op_) {
+    if (strategy_ != nullptr && id == scaled_op_) {
       migration = static_cast<double>(strategy_->staging_bytes());
     }
 
@@ -192,13 +186,13 @@ void TelemetryRegistry::Sample(sim::SimTime t) {
     // Capacity estimator: only samples where the operator was meaningfully
     // busy say anything about its ceiling; the candidate is the observed
     // service rate extrapolated to full utilization.
-    if (dt > 0 && util >= options_.capacity_min_utilization) {
+    if (dt > 0 && util >= kCapacityMinUtilization) {
       double candidate = svc_rate / util;
       CapacityEstimate& cap = capacity_[op];
       cap.smoothed = cap.samples == 0
                          ? candidate
-                         : options_.capacity_alpha * candidate +
-                               (1.0 - options_.capacity_alpha) * cap.smoothed;
+                         : kCapacityAlpha * candidate +
+                               (1.0 - kCapacityAlpha) * cap.smoothed;
       ++cap.samples;
       cap.last_update = t;
       if (cap.smoothed > cap.rate_per_sec) cap.rate_per_sec = cap.smoothed;
@@ -206,24 +200,24 @@ void TelemetryRegistry::Sample(sim::SimTime t) {
 
     prev_[op] = cur;
 
-    if (tracer_ != nullptr) {
-      tracer_->OnTelemetrySample(static_cast<dataflow::OperatorId>(op),
-                                 op_names_[op], SeriesName(SeriesKind::kBacklog),
-                                 t, static_cast<int64_t>(backlog));
-      tracer_->OnTelemetrySample(
-          static_cast<dataflow::OperatorId>(op), op_names_[op],
-          SeriesName(SeriesKind::kServiceRate), t,
-          static_cast<int64_t>(svc_rate));
-      tracer_->OnTelemetrySample(
-          static_cast<dataflow::OperatorId>(op), op_names_[op],
-          SeriesName(SeriesKind::kUtilization), t,
-          static_cast<int64_t>(util * 100.0));  // percent: counters are i64
-      if (migration > 0) {
-        tracer_->OnTelemetrySample(
-            static_cast<dataflow::OperatorId>(op), op_names_[op],
-            SeriesName(SeriesKind::kMigrationBytes), t,
-            static_cast<int64_t>(migration));
-      }
+    DRRS_OBSERVE(graph_->sim(),
+                 OnTelemetrySample(id, op_names_[op],
+                                   SeriesName(SeriesKind::kBacklog), t,
+                                   static_cast<int64_t>(backlog)));
+    DRRS_OBSERVE(graph_->sim(),
+                 OnTelemetrySample(id, op_names_[op],
+                                   SeriesName(SeriesKind::kServiceRate), t,
+                                   static_cast<int64_t>(svc_rate)));
+    // Percent: counter values are integers.
+    DRRS_OBSERVE(graph_->sim(),
+                 OnTelemetrySample(id, op_names_[op],
+                                   SeriesName(SeriesKind::kUtilization), t,
+                                   static_cast<int64_t>(util * 100.0)));
+    if (migration > 0) {
+      DRRS_OBSERVE(graph_->sim(),
+                   OnTelemetrySample(id, op_names_[op],
+                                     SeriesName(SeriesKind::kMigrationBytes),
+                                     t, static_cast<int64_t>(migration)));
     }
   }
 

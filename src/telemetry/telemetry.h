@@ -19,9 +19,6 @@ class OverloadController;
 namespace drrs::scaling {
 class ScalingStrategy;
 }  // namespace drrs::scaling
-namespace drrs::trace {
-class Tracer;
-}  // namespace drrs::trace
 
 namespace drrs::telemetry {
 
@@ -91,21 +88,22 @@ struct CapacityEstimate {
   sim::SimTime last_update = 0;  ///< time of the latest contributing sample
 };
 
+/// Sampling cadence (simulated time). Samples ride the deterministic event
+/// order of the run's simulator, so the sampled values are a pure function
+/// of the workload and seed.
+inline constexpr sim::SimTime kSamplePeriod = sim::Millis(500);
+/// Per-series retention (samples). 4096 at kSamplePeriod covers a ~34-minute
+/// window, far beyond any bench horizon.
+inline constexpr size_t kRingCapacity = 4096;
+/// EWMA smoothing factor for the capacity estimator.
+inline constexpr double kCapacityAlpha = 0.2;
+/// Minimum utilization for a sample to update the capacity estimate.
+inline constexpr double kCapacityMinUtilization = 0.5;
+
 struct TelemetryOptions {
   /// Master switch. Default off: the harness constructs nothing and every
   /// run stays bit-identical to a build without the subsystem.
   bool enabled = false;
-  /// Sampling cadence (simulated time). Samples ride the deterministic
-  /// event order of the run's simulator, so the sampled values are a pure
-  /// function of the workload and seed.
-  sim::SimTime sample_period = sim::Millis(500);
-  /// Per-series retention (samples). 4096 at the default cadence covers a
-  /// ~34-minute window, far beyond any bench horizon.
-  size_t ring_capacity = 4096;
-  /// EWMA smoothing factor for the capacity estimator.
-  double capacity_alpha = 0.2;
-  /// Minimum utilization for a sample to update the capacity estimate.
-  double capacity_min_utilization = 0.5;
   /// Write the full sampled series as CSV after the run (empty disables).
   std::string csv_path;
 };
@@ -115,9 +113,10 @@ struct TelemetryOptions {
 /// with a windowed query API shaped for a future autoscaling policy engine.
 ///
 /// Owned by the harness. RunExperiment drives Sample() on the deterministic
-/// cadence of `options.sample_period` through a sim::PeriodicProcess, like
-/// the state-bytes sampler, so every value is byte-identical across runs of
-/// the same seed.
+/// cadence of kSamplePeriod through a sim::PeriodicProcess, like the
+/// state-bytes sampler, so every value is byte-identical across runs of the
+/// same seed. In DRRS_OBSERVE builds each sample is also reported to the
+/// simulator's observers (the tracer draws it as Perfetto counter tracks).
 ///
 /// Rates are derived from the engine's cumulative counters (channel
 /// delivered-element counts, task processed-record and busy-time counters)
@@ -126,8 +125,7 @@ struct TelemetryOptions {
 /// nothing on the data path.
 class TelemetryRegistry {
  public:
-  TelemetryRegistry(runtime::ExecutionGraph* graph,
-                    const TelemetryOptions& options);
+  explicit TelemetryRegistry(runtime::ExecutionGraph* graph);
 
   TelemetryRegistry(const TelemetryRegistry&) = delete;
   TelemetryRegistry& operator=(const TelemetryRegistry&) = delete;
@@ -144,14 +142,7 @@ class TelemetryRegistry {
     strategy_ = strategy;
     scaled_op_ = scaled_op;
   }
-  /// Mirror samples as Perfetto counter tracks (trace::kTelemetry category,
-  /// one track per operator). The harness wires this only in DRRS_TRACE
-  /// builds.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
-
-  /// Take one sample of every operator at simulated time `t`. Must run at a
-  /// cross-partition serialization point (engine-global timer body, or any
-  /// event on a single-partition run); see the class comment.
+  /// Take one sample of every operator at simulated time `t`.
   void Sample(sim::SimTime t);
 
   // ---- windowed query API (the future policy engine's poll surface) ----
@@ -182,7 +173,6 @@ class TelemetryRegistry {
   const std::string& operator_name(dataflow::OperatorId op) const {
     return op_names_[op];
   }
-  const TelemetryOptions& options() const { return options_; }
 
   /// Write every retained sample as CSV (time_us,op,operator,series,value;
   /// rows ordered by time, then operator, then series ordinal — a pure
@@ -200,12 +190,10 @@ class TelemetryRegistry {
   OpCounters ReadCounters(dataflow::OperatorId op) const;
 
   runtime::ExecutionGraph* graph_;
-  TelemetryOptions options_;
   const overload::OverloadController* overload_ = nullptr;
   dataflow::OperatorId overload_op_ = 0;
   const scaling::ScalingStrategy* strategy_ = nullptr;
   dataflow::OperatorId scaled_op_ = 0;
-  trace::Tracer* tracer_ = nullptr;
 
   std::vector<std::string> op_names_;                 // by OperatorId
   std::vector<std::vector<RingSeries>> series_;       // [op][SeriesKind]

@@ -97,21 +97,14 @@ const char* CategoryName(Category category) {
       return "fault";
     case kSimQueue:
       return "sim.queue";
-    case kSimEvent:
-      return "sim.event";
-    case kNetElement:
-      return "net.element";
-    case kRuntimeRecord:
-      return "runtime.record";
     case kTelemetry:
       return "telemetry";
   }
   return "unknown";
 }
 
-Tracer::Tracer(const Options& options) : options_(options) {
-  if (options_.ring_capacity == 0) options_.ring_capacity = 1;
-  ring_.resize(options_.ring_capacity);
+Tracer::Tracer(const Options& options)
+    : options_(options), ring_(kRingCapacity) {
   track_names_[kTrackControl] = "control-plane";
   track_names_[kTrackNet] = "network";
   track_names_[kTrackFault] = "fault-plane";
@@ -146,40 +139,28 @@ std::vector<TraceEvent> Tracer::FlightRecorderSnapshot() const {
 // ---- simulator hooks ----
 
 void Tracer::OnEventExecuted(sim::SimTime now, size_t queue_depth) {
-  if (enabled(kSimQueue) && now >= next_queue_sample_) {
-    next_queue_sample_ = now + options_.queue_sample_interval;
-    TraceEvent e;
-    e.phase = TraceEvent::Phase::kCounter;
-    e.category = kSimQueue;
-    e.name = "event_queue_depth";
-    e.track = kTrackSim;
-    e.ts = now;
-    e.args[0] = {"depth", static_cast<int64_t>(queue_depth)};
-    e.num_args = 1;
-    Emit(e);
-  }
-  if (enabled(kSimEvent)) {
-    TraceEvent e;
-    e.phase = TraceEvent::Phase::kInstant;
-    e.category = kSimEvent;
-    e.name = "event";
-    e.track = kTrackSim;
-    e.ts = now;
-    Emit(e);
-  }
+  if (now < next_queue_sample_) return;
+  next_queue_sample_ = now + kQueueSampleInterval;
+  TraceEvent e;
+  e.phase = TraceEvent::Phase::kCounter;
+  e.category = kSimQueue;
+  e.name = "event_queue_depth";
+  e.track = kTrackSim;
+  e.ts = now;
+  e.args[0] = {"depth", static_cast<int64_t>(queue_depth)};
+  e.num_args = 1;
+  Emit(e);
 }
 
 // ---- channel hooks ----
 
 void Tracer::OnBackpressureOnset(dataflow::InstanceId from,
                                  dataflow::InstanceId to) {
-  if (!enabled(kNet)) return;
   backpressure_since_[LinkKey(from, to)] = Now();
 }
 
 void Tracer::OnBackpressureRelease(dataflow::InstanceId from,
                                    dataflow::InstanceId to) {
-  if (!enabled(kNet)) return;
   auto it = backpressure_since_.find(LinkKey(from, to));
   if (it == backpressure_since_.end()) return;
   TraceEvent e;
@@ -200,7 +181,6 @@ void Tracer::OnChunkWireFlight(const dataflow::StreamElement& chunk,
                                dataflow::InstanceId from,
                                dataflow::InstanceId to, sim::SimTime depart,
                                sim::SimTime arrival) {
-  if (!enabled(kNet)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kComplete;
   e.category = kNet;
@@ -216,59 +196,12 @@ void Tracer::OnChunkWireFlight(const dataflow::StreamElement& chunk,
   Emit(e);
 }
 
-void Tracer::OnElementTransmitted(const dataflow::StreamElement& element,
-                                  dataflow::InstanceId from,
-                                  dataflow::InstanceId to) {
-  if (!enabled(kNetElement)) return;
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::kInstant;
-  e.category = kNetElement;
-  e.name = "transmit";
-  e.track = kTrackNet;
-  e.ts = Now();
-  e.args[0] = {"kind", static_cast<int64_t>(element.kind)};
-  e.args[1] = {"from", from};
-  e.args[2] = {"to", to};
-  e.num_args = 3;
-  Emit(e);
-}
-
-void Tracer::OnElementDelivered(const dataflow::StreamElement& element,
-                                dataflow::InstanceId to, size_t input_depth) {
-  if (!enabled(kNetElement)) return;
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::kInstant;
-  e.category = kNetElement;
-  e.name = "deliver";
-  e.track = kTrackNet;
-  e.ts = Now();
-  e.args[0] = {"kind", static_cast<int64_t>(element.kind)};
-  e.args[1] = {"to", to};
-  e.args[2] = {"input_depth", static_cast<int64_t>(input_depth)};
-  e.num_args = 3;
-  Emit(e);
-}
-
-void Tracer::OnBatchDelivered(dataflow::InstanceId to, size_t batch_size) {
-  if (!enabled(kNetElement)) return;
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::kInstant;
-  e.category = kNetElement;
-  e.name = "batch_flush";
-  e.track = kTrackNet;
-  e.ts = Now();
-  e.args[0] = {"to", to};
-  e.args[1] = {"batch_size", static_cast<int64_t>(batch_size)};
-  e.num_args = 2;
-  Emit(e);
-}
-
 // ---- task hooks ----
 
 void Tracer::OnTaskStall(dataflow::InstanceId instance,
                          dataflow::OperatorId op, metrics::StallReason reason,
                          sim::SimTime begin, sim::SimTime end) {
-  if (!enabled(kRuntime) || end <= begin) return;
+  if (end <= begin) return;
   stall_hist_[op].Record(sim::ToMillis(end - begin));
   TraceEvent e;
   e.phase = TraceEvent::Phase::kComplete;
@@ -282,23 +215,7 @@ void Tracer::OnTaskStall(dataflow::InstanceId instance,
   Emit(e);
 }
 
-void Tracer::OnRecordProcessed(dataflow::InstanceId instance,
-                               dataflow::OperatorId op, sim::SimTime cost) {
-  if (!enabled(kRuntimeRecord)) return;
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::kComplete;
-  e.category = kRuntimeRecord;
-  e.name = "process_record";
-  e.track = TaskTrack(instance);
-  e.ts = Now();
-  e.dur = cost;
-  e.args[0] = {"op", op};
-  e.num_args = 1;
-  Emit(e);
-}
-
 void Tracer::OnTaskCrashed(dataflow::InstanceId instance) {
-  if (!enabled(kFault)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kFault;
@@ -310,7 +227,6 @@ void Tracer::OnTaskCrashed(dataflow::InstanceId instance) {
 
 void Tracer::OnTaskRecovered(dataflow::InstanceId instance,
                              uint64_t replayed) {
-  if (!enabled(kFault)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kFault;
@@ -326,7 +242,6 @@ void Tracer::OnTaskRecovered(dataflow::InstanceId instance,
 
 void Tracer::OnPressureChange(dataflow::OperatorId op, int from_level,
                               int to_level, uint64_t backlog) {
-  if (!enabled(kRuntime)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kRuntime;
@@ -344,7 +259,6 @@ void Tracer::OnPressureChange(dataflow::OperatorId op, int from_level,
 void Tracer::OnRecordsShed(dataflow::InstanceId instance,
                            dataflow::OperatorId op, int policy,
                            uint64_t count) {
-  if (!enabled(kRuntime)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kRuntime;
@@ -360,7 +274,6 @@ void Tracer::OnRecordsShed(dataflow::InstanceId instance,
 
 void Tracer::OnThrottleChange(dataflow::InstanceId instance,
                               int64_t rate_per_sec) {
-  if (!enabled(kRuntime)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kRuntime;
@@ -374,7 +287,6 @@ void Tracer::OnThrottleChange(dataflow::InstanceId instance,
 
 void Tracer::OnBreakerTransition(dataflow::OperatorId op, int from_state,
                                  int to_state) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kScale;
@@ -391,7 +303,6 @@ void Tracer::OnBreakerTransition(dataflow::OperatorId op, int from_state,
 // ---- scaling/core hooks ----
 
 void Tracer::OnScaleBegin(dataflow::ScaleId scale) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kBegin;
   e.category = kScale;
@@ -404,8 +315,8 @@ void Tracer::OnScaleBegin(dataflow::ScaleId scale) {
   Emit(e);
 }
 
-void Tracer::OnScaleEnd(dataflow::ScaleId scale) {
-  if (!enabled(kScale)) return;
+void Tracer::OnScaleEnd(dataflow::ScaleId scale, size_t /*open_subscales*/,
+                        size_t /*in_flight*/) {
   TraceEvent e;
   e.phase = TraceEvent::Phase::kEnd;
   e.category = kScale;
@@ -417,7 +328,6 @@ void Tracer::OnScaleEnd(dataflow::ScaleId scale) {
 }
 
 void Tracer::OnScaleAborted(dataflow::ScaleId scale) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kScale;
@@ -431,7 +341,6 @@ void Tracer::OnScaleAborted(dataflow::ScaleId scale) {
 
 void Tracer::OnSubscaleOpen(dataflow::ScaleId scale,
                             dataflow::SubscaleId subscale) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kAsyncBegin;
   e.category = kScale;
@@ -447,7 +356,6 @@ void Tracer::OnSubscaleOpen(dataflow::ScaleId scale,
 
 void Tracer::OnSubscaleClose(dataflow::ScaleId scale,
                              dataflow::SubscaleId subscale) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kAsyncEnd;
   e.category = kScale;
@@ -461,7 +369,6 @@ void Tracer::OnSubscaleClose(dataflow::ScaleId scale,
 void Tracer::OnBarrierInjected(dataflow::ScaleId scale,
                                dataflow::SubscaleId subscale,
                                dataflow::InstanceId from, int shape) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kScale;
@@ -476,19 +383,17 @@ void Tracer::OnBarrierInjected(dataflow::ScaleId scale,
   Emit(e);
 }
 
-void Tracer::OnChunkEnqueued(uint64_t transfer,
-                             const dataflow::StreamElement& chunk,
+void Tracer::OnChunkEnqueued(const dataflow::StreamElement& chunk,
                              dataflow::InstanceId from,
                              dataflow::InstanceId to) {
-  if (!enabled(kScale)) return;
-  chunk_sent_at_[transfer] = Now();
+  chunk_sent_at_[chunk.seq] = Now();
   TraceEvent e;
   e.phase = TraceEvent::Phase::kAsyncBegin;
   e.category = kScale;
   e.name = "chunk_transfer";
   e.track = kTrackControl;
   e.ts = Now();
-  e.id = transfer;
+  e.id = chunk.seq;
   e.args[0] = {"kg", chunk.key_group};
   e.args[1] = {"bytes", static_cast<int64_t>(chunk.chunk_bytes)};
   e.args[2] = {"from", from};
@@ -497,9 +402,9 @@ void Tracer::OnChunkEnqueued(uint64_t transfer,
   Emit(e);
 }
 
-void Tracer::OnChunkInstalled(uint64_t transfer, dataflow::InstanceId to) {
-  if (!enabled(kScale)) return;
-  auto it = chunk_sent_at_.find(transfer);
+void Tracer::OnChunkInstalled(const dataflow::StreamElement& chunk,
+                              dataflow::InstanceId to) {
+  auto it = chunk_sent_at_.find(chunk.seq);
   if (it != chunk_sent_at_.end()) {
     chunk_hist_.Record(sim::ToMillis(Now() - it->second));
     chunk_sent_at_.erase(it);
@@ -510,60 +415,56 @@ void Tracer::OnChunkInstalled(uint64_t transfer, dataflow::InstanceId to) {
   e.name = "chunk_transfer";
   e.track = kTrackControl;
   e.ts = Now();
-  e.id = transfer;
+  e.id = chunk.seq;
   e.args[0] = {"to", to};
   e.num_args = 1;
   Emit(e);
 }
 
-void Tracer::OnChunkRetransmitted(uint64_t transfer, uint32_t attempt) {
-  if (!enabled(kScale)) return;
+void Tracer::OnChunkRetransmitted(uint64_t transfer_id, uint32_t attempt) {
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kScale;
   e.name = "chunk_retransmit";
   e.track = kTrackControl;
   e.ts = Now();
-  e.id = transfer;
+  e.id = transfer_id;
   e.args[0] = {"attempt", attempt};
   e.num_args = 1;
   Emit(e);
 }
 
-void Tracer::OnChunkForceInstalled(uint64_t transfer,
+void Tracer::OnChunkForceInstalled(uint64_t transfer_id,
                                    dataflow::InstanceId to) {
-  if (!enabled(kScale)) return;
-  chunk_sent_at_.erase(transfer);
+  chunk_sent_at_.erase(transfer_id);
   TraceEvent e;
   e.phase = TraceEvent::Phase::kAsyncEnd;
   e.category = kScale;
   e.name = "chunk_transfer";
   e.track = kTrackControl;
   e.ts = Now();
-  e.id = transfer;
+  e.id = transfer_id;
   e.args[0] = {"to", to};
   e.args[1] = {"forced", 1};
   e.num_args = 2;
   Emit(e);
 }
 
-void Tracer::OnChunkAborted(uint64_t transfer) {
-  if (!enabled(kScale)) return;
-  chunk_sent_at_.erase(transfer);
+void Tracer::OnChunkAborted(uint64_t transfer_id) {
+  chunk_sent_at_.erase(transfer_id);
   TraceEvent e;
   e.phase = TraceEvent::Phase::kAsyncEnd;
   e.category = kScale;
   e.name = "chunk_transfer";
   e.track = kTrackControl;
   e.ts = Now();
-  e.id = transfer;
+  e.id = transfer_id;
   e.args[0] = {"aborted", 1};
   e.num_args = 1;
   Emit(e);
 }
 
 void Tracer::OnRailSeeded(dataflow::InstanceId from, dataflow::InstanceId to) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kScale;
@@ -578,7 +479,6 @@ void Tracer::OnRailSeeded(dataflow::InstanceId from, dataflow::InstanceId to) {
 
 void Tracer::OnRailReleased(dataflow::InstanceId from,
                             dataflow::InstanceId to) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kScale;
@@ -595,7 +495,6 @@ void Tracer::OnCompleteSent(dataflow::ScaleId scale,
                             dataflow::SubscaleId subscale,
                             dataflow::InstanceId from,
                             dataflow::InstanceId to) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kScale;
@@ -612,7 +511,6 @@ void Tracer::OnCompleteSent(dataflow::ScaleId scale,
 
 void Tracer::OnScaleWatchdog(dataflow::OperatorId op, uint32_t attempt,
                              bool cancelled) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kScale;
@@ -623,11 +521,12 @@ void Tracer::OnScaleWatchdog(dataflow::OperatorId op, uint32_t attempt,
   e.args[1] = {"attempt", attempt};
   e.num_args = 2;
   Emit(e);
+  DumpFlightRecorder(cancelled ? "scale cancelled: deadline budget exhausted"
+                               : "scale aborted: missed progress deadline");
 }
 
 void Tracer::OnScaleStageProgress(dataflow::OperatorId op, int from_stage,
                                   int to_stage) {
-  if (!enabled(kScale)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kScale;
@@ -646,7 +545,6 @@ void Tracer::OnScaleStageProgress(dataflow::OperatorId op, int from_stage,
 void Tracer::OnTelemetrySample(dataflow::OperatorId op,
                                const std::string& op_name, const char* series,
                                sim::SimTime ts, int64_t value) {
-  if (!enabled(kTelemetry)) return;
   const uint64_t track = kTelemetryTrackBase + op;
   if (track_names_.find(track) == track_names_.end()) {
     track_names_[track] = "telemetry " + op_name;
@@ -666,7 +564,6 @@ void Tracer::OnTelemetrySample(dataflow::OperatorId op,
 
 void Tracer::OnChunkFault(const char* kind,
                           const dataflow::StreamElement& chunk) {
-  if (!enabled(kFault)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kFault;
@@ -681,7 +578,6 @@ void Tracer::OnChunkFault(const char* kind,
 
 void Tracer::OnLinkPartitioned(dataflow::InstanceId from,
                                dataflow::InstanceId to) {
-  if (!enabled(kFault)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kFault;
@@ -695,7 +591,6 @@ void Tracer::OnLinkPartitioned(dataflow::InstanceId from,
 }
 
 void Tracer::OnLinksHealed(uint64_t poked_channels) {
-  if (!enabled(kFault)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kFault;
@@ -708,7 +603,6 @@ void Tracer::OnLinksHealed(uint64_t poked_channels) {
 }
 
 void Tracer::OnCrashInjected(dataflow::OperatorId op, uint32_t subtask) {
-  if (!enabled(kFault)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kFault;
@@ -723,7 +617,6 @@ void Tracer::OnCrashInjected(dataflow::OperatorId op, uint32_t subtask) {
 
 void Tracer::OnRecoveryAction(const char* action,
                               dataflow::InstanceId instance, uint64_t detail) {
-  if (!enabled(kFault)) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::kInstant;
   e.category = kFault;

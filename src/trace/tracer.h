@@ -1,5 +1,5 @@
-#ifndef DRRS_TRACE_TRACER_H_
-#define DRRS_TRACE_TRACER_H_
+#ifndef DRRS_SRC_TRACE_TRACER_H_
+#define DRRS_SRC_TRACE_TRACER_H_
 
 #include <cstdint>
 #include <map>
@@ -10,6 +10,7 @@
 #include "dataflow/stream_element.h"
 #include "metrics/histogram.h"
 #include "metrics/metrics_hub.h"
+#include "observe/observer.h"
 #include "sim/sim_time.h"
 
 namespace drrs::sim {
@@ -18,25 +19,15 @@ class Simulator;
 
 namespace drrs::trace {
 
-/// Event categories, used both to filter hook sites at runtime (a disabled
-/// category costs one branch) and as the `cat` field of the exported trace.
-/// The three firehose categories (per simulator event, per network element,
-/// per processed record) are off by default: they multiply trace volume by
-/// the record rate and are only needed for microscopic debugging.
-enum Category : uint32_t {
-  kScale = 1u << 0,          ///< scale/subscale lifecycle, chunks, rails
-  kNet = 1u << 1,            ///< chunk wire flights, backpressure intervals
-  kRuntime = 1u << 2,        ///< task stall spans
-  kFault = 1u << 3,          ///< injected faults and recovery actions
-  kSimQueue = 1u << 4,       ///< event-queue depth counter samples
-  kSimEvent = 1u << 5,       ///< firehose: one instant per executed event
-  kNetElement = 1u << 6,     ///< firehose: per-element send/receive
-  kRuntimeRecord = 1u << 7,  ///< firehose: per-record processing spans
-  kTelemetry = 1u << 8,      ///< telemetry sampler counter tracks
+/// Event categories: the `cat` field of the exported trace.
+enum Category : uint8_t {
+  kScale,      ///< scale/subscale lifecycle, chunks, rails
+  kNet,        ///< chunk wire flights, backpressure intervals
+  kRuntime,    ///< task stall spans, overload actions
+  kFault,      ///< injected faults and recovery actions
+  kSimQueue,   ///< event-queue depth counter samples
+  kTelemetry,  ///< telemetry sampler counter tracks
 };
-
-constexpr uint32_t kDefaultCategories =
-    kScale | kNet | kRuntime | kFault | kSimQueue | kTelemetry;
 
 const char* CategoryName(Category category);
 
@@ -75,36 +66,38 @@ struct TraceEvent {
 ///
 /// Installed on a Simulator (`sim.set_tracer(&t)`); the engine's hook sites
 /// — simulator loop, channels, tasks, scaling/core and the fault injector —
-/// then report spans and instants through the DRRS_TRACE_CALL macro (see
-/// trace/trace_hooks.h). In non-trace builds those call sites compile to
+/// then report spans and instants through the DRRS_OBSERVE macro (see
+/// observe/observer.h). In default builds those call sites compile to
 /// nothing, so the tracer costs zero when off and default builds stay
 /// bit-identical. Observing a run never alters it: the tracer only reads
 /// simulated time and never schedules events.
 ///
 /// Every event also lands in a fixed-capacity ring (the flight recorder);
-/// DumpFlightRecorder() writes the last `ring_capacity` events as a trace
-/// JSON, and the harness wires it to fire on verify::Auditor violations and
-/// ScaleService scale-aborts so failures carry their immediate history.
+/// DumpFlightRecorder() writes the last kRingCapacity events as a trace
+/// JSON. The harness wires it to fire on verify::Auditor violations, and
+/// the ScaleService watchdog hook fires it on scale aborts, so failures
+/// carry their immediate history.
 ///
 /// Track layout (exported as one process with named threads):
 ///   1 control-plane (scale lifecycle, barriers, chunks, rails)
 ///   2 network       (wire flights, backpressure intervals)
 ///   3 fault-plane   (injected faults, recovery actions)
-///   4 simulator     (queue depth, per-event firehose)
-///   16+i            task instance i (stall + processing spans)
+///   4 simulator     (queue depth)
+///   16+i            task instance i (stall spans)
 ///   4096+op         telemetry counters for operator op (sampler series)
-class Tracer {
+class Tracer final : public observe::Observer {
  public:
+  /// Flight-recorder slots: the last events any dump can show.
+  static constexpr size_t kRingCapacity = 4096;
+  /// Minimum simulated time between queue-depth counter samples.
+  static constexpr sim::SimTime kQueueSampleInterval = sim::Millis(100);
+
   struct Options {
-    uint32_t categories = kDefaultCategories;
     /// Keep only the flight-recorder ring (no full event log). The mode for
-    /// always-on capture: memory is bounded by `ring_capacity` alone.
+    /// always-on capture: memory is bounded by kRingCapacity alone.
     bool ring_only = false;
-    size_t ring_capacity = 4096;
     /// Where DumpFlightRecorder writes. Empty disables dumping.
     std::string flight_dump_path = "drrs_flight.json";
-    /// Minimum simulated time between queue-depth counter samples.
-    sim::SimTime queue_sample_interval = sim::Millis(100);
   };
 
   Tracer() : Tracer(Options{}) {}
@@ -116,111 +109,76 @@ class Tracer {
   /// Called by Simulator::set_tracer so events carry simulated time.
   void AttachSimulator(const sim::Simulator* sim) { sim_ = sim; }
 
-  bool enabled(Category category) const {
-    return (options_.categories & category) != 0;
-  }
+  // ---- hooks (documented in observe::Observer) ----
 
-  // ---- simulator hooks (sim::Simulator) ----
-
-  /// After each executed event: samples the queue-depth counter (rate-
-  /// limited by `queue_sample_interval`) and, under kSimEvent, emits one
-  /// instant per event.
-  void OnEventExecuted(sim::SimTime now, size_t queue_depth);
-
-  // ---- channel hooks (net::Channel) ----
-
-  void OnBackpressureOnset(dataflow::InstanceId from, dataflow::InstanceId to);
+  /// Samples the queue-depth counter, at most once per kQueueSampleInterval.
+  void OnEventExecuted(sim::SimTime now, size_t queue_depth) override;
+  /// Onset is buffered; the interval is emitted as one span at release.
+  void OnBackpressureOnset(dataflow::InstanceId from,
+                           dataflow::InstanceId to) override;
   void OnBackpressureRelease(dataflow::InstanceId from,
-                             dataflow::InstanceId to);
-  /// A state chunk left the serializer: span [depart, arrival] on the wire.
+                             dataflow::InstanceId to) override;
   void OnChunkWireFlight(const dataflow::StreamElement& chunk,
                          dataflow::InstanceId from, dataflow::InstanceId to,
-                         sim::SimTime depart, sim::SimTime arrival);
-  void OnElementTransmitted(const dataflow::StreamElement& element,
-                            dataflow::InstanceId from,
-                            dataflow::InstanceId to);
-  void OnElementDelivered(const dataflow::StreamElement& element,
-                          dataflow::InstanceId to, size_t input_depth);
-  /// One wire-batch flush: `batch_size` elements shared a deliverable window
-  /// and reached `to` in a single armed event.
-  void OnBatchDelivered(dataflow::InstanceId to, size_t batch_size);
-
-  // ---- task hooks (runtime::Task) ----
-
-  /// A completed stall interval [begin, end) with its reason.
+                         sim::SimTime depart, sim::SimTime arrival) override;
   void OnTaskStall(dataflow::InstanceId instance, dataflow::OperatorId op,
                    metrics::StallReason reason, sim::SimTime begin,
-                   sim::SimTime end);
-  void OnRecordProcessed(dataflow::InstanceId instance,
-                         dataflow::OperatorId op, sim::SimTime cost);
-  void OnTaskCrashed(dataflow::InstanceId instance);
-  void OnTaskRecovered(dataflow::InstanceId instance, uint64_t replayed);
-
-  // ---- overload hooks (overload::OverloadController, ScaleService) ----
-
-  /// Pressure-level transition at the monitored operator. Levels are the
-  /// overload::PressureLevel ordinals (0 ok .. 3 throttled).
+                   sim::SimTime end) override;
+  void OnTaskCrashed(dataflow::InstanceId instance) override;
+  void OnTaskRecovered(dataflow::InstanceId instance,
+                       uint64_t replayed) override;
   void OnPressureChange(dataflow::OperatorId op, int from_level, int to_level,
-                        uint64_t backlog);
-  /// `count` records shed from `instance`'s input in one delivery batch.
-  /// `policy` is the overload::ShedPolicy ordinal.
+                        uint64_t backlog) override;
   void OnRecordsShed(dataflow::InstanceId instance, dataflow::OperatorId op,
-                     int policy, uint64_t count);
-  /// The source throttle was enabled (rate_per_sec > 0) or lifted (0).
-  void OnThrottleChange(dataflow::InstanceId instance, int64_t rate_per_sec);
-  /// Scale-admission circuit breaker transition; states are the
-  /// overload::CircuitBreaker::State ordinals (0 closed, 1 open, 2 half-open).
+                     int policy, uint64_t count) override;
+  void OnThrottleChange(dataflow::InstanceId instance,
+                        int64_t rate_per_sec) override;
   void OnBreakerTransition(dataflow::OperatorId op, int from_state,
-                           int to_state);
-
-  // ---- scaling/core hooks ----
-
-  void OnScaleBegin(dataflow::ScaleId scale);
-  void OnScaleEnd(dataflow::ScaleId scale);
-  void OnScaleAborted(dataflow::ScaleId scale);
-  void OnSubscaleOpen(dataflow::ScaleId scale, dataflow::SubscaleId subscale);
-  void OnSubscaleClose(dataflow::ScaleId scale, dataflow::SubscaleId subscale);
-  /// `shape`: 0 coupled, 1 integrated-with-checkpoint, 2 decoupled.
+                           int to_state) override;
+  void OnScaleBegin(dataflow::ScaleId scale) override;
+  void OnScaleEnd(dataflow::ScaleId scale, size_t open_subscales,
+                  size_t in_flight) override;
+  void OnScaleAborted(dataflow::ScaleId scale) override;
+  void OnSubscaleOpen(dataflow::ScaleId scale,
+                      dataflow::SubscaleId subscale) override;
+  void OnSubscaleClose(dataflow::ScaleId scale,
+                       dataflow::SubscaleId subscale) override;
   void OnBarrierInjected(dataflow::ScaleId scale,
                          dataflow::SubscaleId subscale,
-                         dataflow::InstanceId from, int shape);
-  void OnChunkEnqueued(uint64_t transfer, const dataflow::StreamElement& chunk,
-                       dataflow::InstanceId from, dataflow::InstanceId to);
-  void OnChunkInstalled(uint64_t transfer, dataflow::InstanceId to);
-  void OnChunkRetransmitted(uint64_t transfer, uint32_t attempt);
-  void OnChunkForceInstalled(uint64_t transfer, dataflow::InstanceId to);
-  void OnChunkAborted(uint64_t transfer);
-  void OnRailSeeded(dataflow::InstanceId from, dataflow::InstanceId to);
-  void OnRailReleased(dataflow::InstanceId from, dataflow::InstanceId to);
+                         dataflow::InstanceId from, int shape) override;
+  void OnChunkEnqueued(const dataflow::StreamElement& chunk,
+                       dataflow::InstanceId from,
+                       dataflow::InstanceId to) override;
+  void OnChunkInstalled(const dataflow::StreamElement& chunk,
+                        dataflow::InstanceId to) override;
+  void OnChunkRetransmitted(uint64_t transfer_id, uint32_t attempt) override;
+  void OnChunkForceInstalled(uint64_t transfer_id,
+                             dataflow::InstanceId to) override;
+  void OnChunkAborted(uint64_t transfer_id) override;
+  void OnRailSeeded(dataflow::InstanceId from,
+                    dataflow::InstanceId to) override;
+  void OnRailReleased(dataflow::InstanceId from,
+                      dataflow::InstanceId to) override;
   void OnCompleteSent(dataflow::ScaleId scale, dataflow::SubscaleId subscale,
-                      dataflow::InstanceId from, dataflow::InstanceId to);
-  /// ScaleService watchdog fired: `cancelled` distinguishes a final
-  /// cancellation from an abort-and-retry.
+                      dataflow::InstanceId from,
+                      dataflow::InstanceId to) override;
+  /// Also dumps the flight recorder: every watchdog abort is a failure
+  /// worth its history.
   void OnScaleWatchdog(dataflow::OperatorId op, uint32_t attempt,
-                       bool cancelled);
-  /// Watchdog re-armed without abort: the operation advanced from stage
-  /// `from_stage` to `to_stage` (scaling::ScaleStage ordinals) within its
-  /// budget.
+                       bool cancelled) override;
   void OnScaleStageProgress(dataflow::OperatorId op, int from_stage,
-                            int to_stage);
-
-  // ---- telemetry hooks (telemetry::TelemetryRegistry) ----
-
-  /// One sampled counter value for `op`'s telemetry track. `series` and the
-  /// arg key must be static strings (the registry passes SeriesName()
-  /// literals); `ts` is the sampler's simulated time, passed explicitly
-  /// because the registry samples at a barrier, not inside an event body.
+                            int to_stage) override;
   void OnTelemetrySample(dataflow::OperatorId op, const std::string& op_name,
-                         const char* series, sim::SimTime ts, int64_t value);
-
-  // ---- fault hooks (fault::FaultInjector) ----
-
-  void OnChunkFault(const char* kind, const dataflow::StreamElement& chunk);
-  void OnLinkPartitioned(dataflow::InstanceId from, dataflow::InstanceId to);
-  void OnLinksHealed(uint64_t poked_channels);
-  void OnCrashInjected(dataflow::OperatorId op, uint32_t subtask);
+                         const char* series, sim::SimTime ts,
+                         int64_t value) override;
+  void OnChunkFault(const char* kind,
+                    const dataflow::StreamElement& chunk) override;
+  void OnLinkPartitioned(dataflow::InstanceId from,
+                         dataflow::InstanceId to) override;
+  void OnLinksHealed(uint64_t poked_channels) override;
+  void OnCrashInjected(dataflow::OperatorId op, uint32_t subtask) override;
   void OnRecoveryAction(const char* action, dataflow::InstanceId instance,
-                        uint64_t detail);
+                        uint64_t detail) override;
 
   // ---- export / inspection ----
 
@@ -229,7 +187,7 @@ class Tracer {
   /// ring-only mode (use DumpFlightRecorder) or on I/O errors.
   Status ExportJson(const std::string& path) const;
 
-  /// Write the last `ring_capacity` events to `options.flight_dump_path`,
+  /// Write the last kRingCapacity events to `options.flight_dump_path`,
   /// with `reason` attached as trace metadata. Each call overwrites the
   /// file (the latest failure wins); `flight_dumps()` counts invocations.
   /// No-op (counting only) when the path is empty.
@@ -262,7 +220,7 @@ class Tracer {
   const sim::Simulator* sim_ = nullptr;
 
   std::vector<TraceEvent> events_;  ///< full log (empty in ring-only mode)
-  std::vector<TraceEvent> ring_;    ///< flight recorder, ring_capacity slots
+  std::vector<TraceEvent> ring_;    ///< flight recorder, kRingCapacity slots
   size_t ring_next_ = 0;
   bool ring_wrapped_ = false;
   uint64_t total_events_ = 0;
@@ -285,4 +243,4 @@ class Tracer {
 
 }  // namespace drrs::trace
 
-#endif  // DRRS_TRACE_TRACER_H_
+#endif  // DRRS_SRC_TRACE_TRACER_H_

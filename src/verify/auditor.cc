@@ -80,7 +80,7 @@ const char* Auditor::PhaseName(Phase phase) {
 sim::SimTime Auditor::Now() const { return sim_ != nullptr ? sim_->now() : 0; }
 
 void Auditor::AddViolation(AuditCheck check, std::string message) {
-  if (violations_.size() >= options_.max_violations) {
+  if (violations_.size() >= kMaxViolations) {
     ++dropped_;
     return;
   }
@@ -100,7 +100,6 @@ Auditor::RecordInfo* Auditor::TrackedRecord(uint64_t audit_id) {
 // ---------------------------------------------------------------------------
 
 void Auditor::OnElementPushed(StreamElement* element) {
-  if (!options_.conservation) return;
   if (element->kind != ElementKind::kRecord) return;
   if (element->audit_id == 0) {
     // First channel hop of a fresh emission: assign identity.
@@ -130,7 +129,6 @@ void Auditor::OnElementPushed(StreamElement* element) {
 }
 
 void Auditor::OnElementTransmitted(const StreamElement& element) {
-  if (!options_.conservation) return;
   if (element.kind != ElementKind::kRecord) return;
   RecordInfo* info = TrackedRecord(element.audit_id);
   if (info == nullptr) return;
@@ -147,7 +145,7 @@ void Auditor::OnElementDelivered(const StreamElement& element,
                                  size_t wire_depth, size_t input_depth,
                                  size_t capacity,
                                  dataflow::InstanceId receiver) {
-  if (options_.protocol && wire_depth + input_depth > capacity) {
+  if (wire_depth + input_depth > capacity) {
     std::ostringstream os;
     os << "credit violation at instance " << receiver << ": wire depth "
        << wire_depth << " + input depth " << input_depth
@@ -156,7 +154,6 @@ void Auditor::OnElementDelivered(const StreamElement& element,
   }
   switch (element.kind) {
     case ElementKind::kRecord: {
-      if (!options_.conservation) return;
       RecordInfo* info = TrackedRecord(element.audit_id);
       if (info == nullptr) return;
       if (info->phase != Phase::kWire) {
@@ -171,7 +168,6 @@ void Auditor::OnElementDelivered(const StreamElement& element,
       return;
     }
     case ElementKind::kStateChunk: {
-      if (!options_.protocol) return;
       auto it = chunks_.find(element.seq);
       if (it == chunks_.end()) return;  // crafted/abort remnant; Install decides
       if (it->second.state == ChunkState::kSent) {
@@ -180,7 +176,6 @@ void Auditor::OnElementDelivered(const StreamElement& element,
       return;
     }
     case ElementKind::kScaleComplete: {
-      if (!options_.protocol) return;
       for (const auto& [id, chunk] : chunks_) {
         // Lost or retransmitted chunks legitimately trail the complete
         // marker: the ack-timeout recovery path re-sends them after the
@@ -207,7 +202,6 @@ void Auditor::OnElementDelivered(const StreamElement& element,
 
 void Auditor::OnElementsExtracted(
     const std::vector<StreamElement>& extracted) {
-  if (!options_.conservation) return;
   for (const StreamElement& e : extracted) {
     if (e.kind != ElementKind::kRecord) continue;
     RecordInfo* info = TrackedRecord(e.audit_id);
@@ -226,34 +220,32 @@ void Auditor::OnElementsExtracted(
 void Auditor::OnRecordProcessed(const StreamElement& record,
                                 dataflow::OperatorId op,
                                 dataflow::InstanceId instance) {
-  if (options_.conservation) {
-    RecordInfo* info = TrackedRecord(record.audit_id);
-    if (info != nullptr) {
-      if (info->phase == Phase::kDone) {
-        std::ostringstream os;
-        os << "record " << record.audit_id << " (key " << record.key
-           << ", from instance " << info->from
-           << ") processed twice — duplicate processing at instance "
-           << instance;
-        AddViolation(AuditCheck::kConservation, os.str());
-      } else if (info->phase == Phase::kShed) {
-        std::ostringstream os;
-        os << "record " << record.audit_id << " (key " << record.key
-           << ") processed at instance " << instance
-           << " after being shed — shedding must be terminal";
-        AddViolation(AuditCheck::kConservation, os.str());
-      } else if (info->phase != Phase::kInput && info->phase != Phase::kHeld) {
-        std::ostringstream os;
-        os << "record " << record.audit_id << " (key " << record.key
-           << ") processed at instance " << instance << " while "
-           << PhaseName(info->phase) << " — skipped delivery";
-        AddViolation(AuditCheck::kConservation, os.str());
-      }
-      info->phase = Phase::kDone;
-      ++records_processed_;
+  RecordInfo* info = TrackedRecord(record.audit_id);
+  if (info != nullptr) {
+    if (info->phase == Phase::kDone) {
+      std::ostringstream os;
+      os << "record " << record.audit_id << " (key " << record.key
+         << ", from instance " << info->from
+         << ") processed twice — duplicate processing at instance "
+         << instance;
+      AddViolation(AuditCheck::kConservation, os.str());
+    } else if (info->phase == Phase::kShed) {
+      std::ostringstream os;
+      os << "record " << record.audit_id << " (key " << record.key
+         << ") processed at instance " << instance
+         << " after being shed — shedding must be terminal";
+      AddViolation(AuditCheck::kConservation, os.str());
+    } else if (info->phase != Phase::kInput && info->phase != Phase::kHeld) {
+      std::ostringstream os;
+      os << "record " << record.audit_id << " (key " << record.key
+         << ") processed at instance " << instance << " while "
+         << PhaseName(info->phase) << " — skipped delivery";
+      AddViolation(AuditCheck::kConservation, os.str());
     }
+    info->phase = Phase::kDone;
+    ++records_processed_;
   }
-  if (options_.ordering && record.seq > 0) {
+  if (record.seq > 0) {
     OrderState& last = order_[{op, record.from_instance, record.key}];
     if (record.seq <= last.seq) {
       std::ostringstream os;
@@ -275,7 +267,6 @@ void Auditor::OnRecordShed(const StreamElement& record,
                            dataflow::OperatorId op,
                            dataflow::InstanceId instance) {
   (void)op;
-  if (!options_.conservation) return;
   RecordInfo* info = TrackedRecord(record.audit_id);
   if (info == nullptr) return;
   if (info->phase == Phase::kShed) {
@@ -300,14 +291,12 @@ void Auditor::OnRecordShed(const StreamElement& record,
 // ---------------------------------------------------------------------------
 
 void Auditor::OnScaleBegin(dataflow::ScaleId scale) {
-  if (!options_.protocol) return;
   ++scales_observed_;
   active_scales_.insert(scale);
 }
 
 void Auditor::OnScaleEnd(dataflow::ScaleId scale, size_t open_subscales,
-                         size_t session_in_flight) {
-  if (!options_.protocol) return;
+                         size_t in_flight) {
   if (open_subscales > 0) {
     std::ostringstream os;
     os << "EndScale for scale " << scale << " with " << open_subscales
@@ -331,10 +320,10 @@ void Auditor::OnScaleEnd(dataflow::ScaleId scale, size_t open_subscales,
       ++outstanding;
     }
   }
-  if (session_in_flight > outstanding) {
+  if (in_flight > outstanding) {
     std::ostringstream os;
     os << "EndScale for scale " << scale << ": transfer session reports "
-       << session_in_flight << " chunk(s) in flight";
+       << in_flight << " chunk(s) in flight";
     AddViolation(AuditCheck::kProtocol, os.str());
   }
   active_scales_.erase(scale);
@@ -343,7 +332,6 @@ void Auditor::OnScaleEnd(dataflow::ScaleId scale, size_t open_subscales,
 
 void Auditor::OnSubscaleOpen(dataflow::ScaleId scale,
                              dataflow::SubscaleId subscale) {
-  if (!options_.protocol) return;
   if (active_scales_.count(scale) == 0) {
     std::ostringstream os;
     os << "subscale " << subscale << " opened outside an active scaling"
@@ -360,7 +348,6 @@ void Auditor::OnSubscaleOpen(dataflow::ScaleId scale,
 
 void Auditor::OnSubscaleClose(dataflow::ScaleId scale,
                               dataflow::SubscaleId subscale) {
-  if (!options_.protocol) return;
   auto it = open_subscales_.find(scale);
   if (it == open_subscales_.end() || it->second.erase(subscale) == 0) {
     std::ostringstream os;
@@ -373,7 +360,6 @@ void Auditor::OnSubscaleClose(dataflow::ScaleId scale,
 void Auditor::OnChunkEnqueued(const StreamElement& chunk,
                               dataflow::InstanceId from,
                               dataflow::InstanceId to) {
-  if (!options_.protocol) return;
   if (active_scales_.count(chunk.scale_id) == 0) {
     std::ostringstream os;
     os << "state chunk (transfer " << chunk.seq << ", key-group "
@@ -405,14 +391,12 @@ void Auditor::OnChunkEnqueued(const StreamElement& chunk,
 }
 
 void Auditor::OnChunkAborted(uint64_t transfer_id) {
-  if (!options_.protocol) return;
   auto it = chunks_.find(transfer_id);
   if (it != chunks_.end()) it->second.state = ChunkState::kAborted;
 }
 
 void Auditor::OnChunkInstalled(const StreamElement& chunk,
                                dataflow::InstanceId to) {
-  if (!options_.protocol) return;
   ++chunks_installed_;
   auto it = chunks_.find(chunk.seq);
   if (it == chunks_.end()) return;  // enqueued before the auditor attached
@@ -438,7 +422,6 @@ void Auditor::OnChunkInstalled(const StreamElement& chunk,
 }
 
 void Auditor::OnChunkWireDropped(const StreamElement& chunk) {
-  if (!options_.protocol) return;
   ++chunks_lost_;
   auto it = chunks_.find(chunk.seq);
   if (it != chunks_.end() && it->second.state != ChunkState::kInstalled &&
@@ -447,8 +430,8 @@ void Auditor::OnChunkWireDropped(const StreamElement& chunk) {
   }
 }
 
-void Auditor::OnChunkRetransmitted(uint64_t transfer_id) {
-  if (!options_.protocol) return;
+void Auditor::OnChunkRetransmitted(uint64_t transfer_id,
+                                   uint32_t /*attempt*/) {
   ++chunks_retransmitted_;
   auto it = chunks_.find(transfer_id);
   if (it == chunks_.end()) return;
@@ -461,7 +444,6 @@ void Auditor::OnChunkRetransmitted(uint64_t transfer_id) {
 
 void Auditor::OnChunkForceInstalled(uint64_t transfer_id,
                                     dataflow::InstanceId to) {
-  if (!options_.protocol) return;
   ++chunks_force_installed_;
   auto it = chunks_.find(transfer_id);
   if (it == chunks_.end()) return;
@@ -483,7 +465,6 @@ void Auditor::OnChunkForceInstalled(uint64_t transfer_id,
 }
 
 void Auditor::OnChunkDuplicateSuppressed(const StreamElement& chunk) {
-  if (!options_.protocol) return;
   ++duplicate_suppressed_;
   // A suppressed duplicate must correspond to an already-installed transfer;
   // suppressing a chunk that was never installed would lose state.
@@ -497,7 +478,6 @@ void Auditor::OnChunkDuplicateSuppressed(const StreamElement& chunk) {
 }
 
 void Auditor::OnChunkDroppedAborted(const StreamElement& chunk) {
-  if (!options_.protocol) return;
   ++aborted_drops_;
   // Audit note only: dropping an aborted scale's floating chunk is the
   // *correct* behavior. Tracked so chaos tests can assert it happened.
@@ -507,7 +487,6 @@ void Auditor::OnChunkDroppedAborted(const StreamElement& chunk) {
 }
 
 void Auditor::OnChunkUnknownInstall(const StreamElement& chunk) {
-  if (!options_.protocol) return;
   std::ostringstream os;
   os << "install of unknown transfer id " << chunk.seq << " (key-group "
      << chunk.key_group << ", scale " << chunk.scale_id
@@ -519,7 +498,6 @@ void Auditor::OnCompleteSent(dataflow::ScaleId scale,
                              dataflow::SubscaleId subscale,
                              dataflow::InstanceId from,
                              dataflow::InstanceId to) {
-  if (!options_.protocol) return;
   if (active_scales_.count(scale) == 0) {
     std::ostringstream os;
     os << "kScaleComplete sent (" << from << " -> " << to
@@ -531,7 +509,6 @@ void Auditor::OnCompleteSent(dataflow::ScaleId scale,
 
 void Auditor::OnRailReleased(dataflow::InstanceId from,
                              dataflow::InstanceId to) {
-  if (!options_.protocol) return;
   for (const auto& [id, chunk] : chunks_) {
     if (chunk.from != from || chunk.to != to) continue;
     if (chunk.state == ChunkState::kSent ||
@@ -550,7 +527,6 @@ void Auditor::OnRailReleased(dataflow::InstanceId from,
 // ---------------------------------------------------------------------------
 
 void Auditor::OnEventPopped(sim::SimTime time, uint64_t seq) {
-  if (!options_.determinism) return;
   if (popped_any_) {
     if (time < last_pop_time_) {
       std::ostringstream os;
@@ -580,45 +556,41 @@ void Auditor::OnEventPopped(sim::SimTime time, uint64_t seq) {
 void Auditor::Finalize() {
   if (finalized_) return;
   finalized_ = true;
-  if (options_.conservation) {
-    uint64_t leaked = 0;
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const RecordInfo& info = records_[i];
-      // Shed is a legal terminal: the record was deliberately and
-      // accountably removed, not lost.
-      if (info.phase == Phase::kDone || info.phase == Phase::kShed) continue;
-      if (leaked < 8) {
-        std::ostringstream os;
-        os << "record " << (i + 1) << " (key " << info.key
-           << ", from instance " << info.from << ") lost: still "
-           << PhaseName(info.phase) << " at end of run";
-        AddViolation(AuditCheck::kConservation, os.str());
-      }
-      ++leaked;
+  uint64_t leaked = 0;
+  for (size_t i = 0; i < records_.size(); ++i) {
+    const RecordInfo& info = records_[i];
+    // Shed is a legal terminal: the record was deliberately and
+    // accountably removed, not lost.
+    if (info.phase == Phase::kDone || info.phase == Phase::kShed) continue;
+    if (leaked < 8) {
+      std::ostringstream os;
+      os << "record " << (i + 1) << " (key " << info.key
+         << ", from instance " << info.from << ") lost: still "
+         << PhaseName(info.phase) << " at end of run";
+      AddViolation(AuditCheck::kConservation, os.str());
     }
-    if (leaked > 8) {
-      AddViolation(AuditCheck::kConservation,
-                   std::to_string(leaked) +
-                       " record(s) total never reached an operator");
+    ++leaked;
+  }
+  if (leaked > 8) {
+    AddViolation(AuditCheck::kConservation,
+                 std::to_string(leaked) +
+                     " record(s) total never reached an operator");
+  }
+  for (const auto& [id, chunk] : chunks_) {
+    if (chunk.state == ChunkState::kSent ||
+        chunk.state == ChunkState::kDelivered ||
+        chunk.state == ChunkState::kLost) {
+      std::ostringstream os;
+      os << "state chunk (transfer " << id << ", key-group "
+         << chunk.key_group << ", " << chunk.from << " -> " << chunk.to
+         << ") sent at t=" << chunk.sent_at
+         << " never installed or aborted";
+      AddViolation(AuditCheck::kProtocol, os.str());
     }
   }
-  if (options_.protocol) {
-    for (const auto& [id, chunk] : chunks_) {
-      if (chunk.state == ChunkState::kSent ||
-          chunk.state == ChunkState::kDelivered ||
-          chunk.state == ChunkState::kLost) {
-        std::ostringstream os;
-        os << "state chunk (transfer " << id << ", key-group "
-           << chunk.key_group << ", " << chunk.from << " -> " << chunk.to
-           << ") sent at t=" << chunk.sent_at
-           << " never installed or aborted";
-        AddViolation(AuditCheck::kProtocol, os.str());
-      }
-    }
-    for (dataflow::ScaleId scale : active_scales_) {
-      AddViolation(AuditCheck::kProtocol,
-                   "scale " + std::to_string(scale) + " begun but never ended");
-    }
+  for (dataflow::ScaleId scale : active_scales_) {
+    AddViolation(AuditCheck::kProtocol,
+                 "scale " + std::to_string(scale) + " begun but never ended");
   }
 }
 

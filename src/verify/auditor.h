@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "dataflow/stream_element.h"
+#include "observe/observer.h"
 #include "sim/sim_time.h"
 
 namespace drrs::sim {
@@ -40,12 +41,12 @@ struct Violation {
 
 /// Snapshot of an Auditor's findings plus diagnostic counters, copyable into
 /// an ExperimentResult. Compiled in every build; only the *hooks* that feed
-/// an Auditor are gated behind the DRRS_AUDIT compile option.
+/// an Auditor are gated behind the DRRS_OBSERVE compile option.
 struct AuditReport {
   bool enabled = false;  ///< an Auditor was installed for the run
   bool finalized = false;
   std::vector<Violation> violations;
-  uint64_t dropped_violations = 0;  ///< beyond Options::max_violations
+  uint64_t dropped_violations = 0;  ///< beyond Auditor::kMaxViolations
 
   // Diagnostics (not violations).
   uint64_t records_tracked = 0;
@@ -78,9 +79,9 @@ struct AuditReport {
 ///
 /// Installed on a Simulator (`sim.set_auditor(&a)`); the engine's hook
 /// sites — channels, tasks, the event queue and scaling/core — then report
-/// every element movement and protocol step through the DRRS_AUDIT_CALL
-/// macro (see verify/audit_hooks.h). In non-audit builds those call sites
-/// compile to nothing, so the auditor costs zero when off.
+/// every element movement and protocol step through the DRRS_OBSERVE macro
+/// (see observe/observer.h). In default builds those call sites compile to
+/// nothing, so the auditor costs zero when off. Every check is always on.
 ///
 /// Checks enforced:
 ///  * Conservation — every record pushed onto a channel moves through a
@@ -101,18 +102,12 @@ struct AuditReport {
 ///  * Determinism — simulated time must never regress, same-time pops must
 ///    respect the insertion-seq tie-break, and every same-time pop is
 ///    counted as a tie-break hazard diagnostic.
-class Auditor {
+class Auditor final : public observe::Observer {
  public:
-  struct Options {
-    bool conservation = true;
-    bool ordering = true;
-    bool protocol = true;
-    bool determinism = true;
-    size_t max_violations = 256;
-  };
+  /// Violations recorded before further ones are only counted as dropped.
+  static constexpr size_t kMaxViolations = 256;
 
   Auditor() = default;
-  explicit Auditor(const Options& options) : options_(options) {}
 
   Auditor(const Auditor&) = delete;
   Auditor& operator=(const Auditor&) = delete;
@@ -127,78 +122,61 @@ class Auditor {
     on_violation_ = std::move(cb);
   }
 
-  // ---- channel hooks (net::Channel) ----
+  // ---- hooks (documented in observe::Observer) ----
 
-  /// Element entering a channel's output cache (Push / PushPriority). May
-  /// assign the element's audit identity, hence the mutable pointer.
-  void OnElementPushed(dataflow::StreamElement* element);
-  /// Element moving from the output cache onto the wire.
-  void OnElementTransmitted(const dataflow::StreamElement& element);
-  /// Element arriving in the receiver's input cache. Depths are post-
-  /// delivery; `capacity` is the credit window being enforced.
+  void OnEventPopped(sim::SimTime time, uint64_t seq) override;
+  void OnElementPushed(dataflow::StreamElement* element) override;
+  void OnElementTransmitted(const dataflow::StreamElement& element) override;
   void OnElementDelivered(const dataflow::StreamElement& element,
                           size_t wire_depth, size_t input_depth,
-                          size_t capacity, dataflow::InstanceId receiver);
-  /// Elements removed from an output cache by ExtractFromOutput[Before].
+                          size_t capacity,
+                          dataflow::InstanceId receiver) override;
   void OnElementsExtracted(
-      const std::vector<dataflow::StreamElement>& extracted);
-
-  // ---- task hooks (runtime::Task) ----
-
-  /// A data record reaching the operator (or sink), after any intercept.
+      const std::vector<dataflow::StreamElement>& extracted) override;
+  /// Not a violation: the leak checks still fire if nothing covers it.
+  void OnChunkWireDropped(const dataflow::StreamElement& chunk) override;
   void OnRecordProcessed(const dataflow::StreamElement& record,
                          dataflow::OperatorId op,
-                         dataflow::InstanceId instance);
-
-  // ---- overload hooks (overload::OverloadController) ----
-
-  /// A data record deliberately removed from `instance`'s input cache by
-  /// load shedding. Shedding is a legal terminal phase of the conservation
-  /// lifecycle (kInput -> kShed), not a leak; shedding a record that is not
-  /// in an input cache, or processing one after it was shed, is a violation.
+                         dataflow::InstanceId instance) override;
+  /// Shedding is a legal terminal phase of the conservation lifecycle
+  /// (kInput -> kShed), not a leak; shedding a record that is not in an
+  /// input cache, or processing one after it was shed, is a violation.
   void OnRecordShed(const dataflow::StreamElement& record,
-                    dataflow::OperatorId op, dataflow::InstanceId instance);
-
-  // ---- scaling/core hooks ----
-
-  void OnScaleBegin(dataflow::ScaleId scale);
-  /// `open_subscales` / `session_in_flight` are the ScaleContext's own view
-  /// at EndScale; both must be zero for a leak-free teardown.
+                    dataflow::OperatorId op,
+                    dataflow::InstanceId instance) override;
+  void OnScaleBegin(dataflow::ScaleId scale) override;
   void OnScaleEnd(dataflow::ScaleId scale, size_t open_subscales,
-                  size_t session_in_flight);
-  void OnSubscaleOpen(dataflow::ScaleId scale, dataflow::SubscaleId subscale);
-  void OnSubscaleClose(dataflow::ScaleId scale, dataflow::SubscaleId subscale);
+                  size_t in_flight) override;
+  void OnSubscaleOpen(dataflow::ScaleId scale,
+                      dataflow::SubscaleId subscale) override;
+  void OnSubscaleClose(dataflow::ScaleId scale,
+                       dataflow::SubscaleId subscale) override;
   void OnChunkEnqueued(const dataflow::StreamElement& chunk,
-                       dataflow::InstanceId from, dataflow::InstanceId to);
-  void OnChunkAborted(uint64_t transfer_id);
+                       dataflow::InstanceId from,
+                       dataflow::InstanceId to) override;
   void OnChunkInstalled(const dataflow::StreamElement& chunk,
-                        dataflow::InstanceId to);
-  /// A chunk was dropped on the wire by the fault plane. Not a violation:
-  /// the sender's retransmission (or abort roll-forward) must cover it, and
-  /// the leak checks still fire if nothing ever does.
-  void OnChunkWireDropped(const dataflow::StreamElement& chunk);
-  /// The sender retransmitted `transfer_id` after an ack timeout. Re-arms
-  /// the chunk's lifecycle (back to sent) without counting as a reuse.
-  void OnChunkRetransmitted(uint64_t transfer_id);
-  /// Abort roll-forward installed the registry copy of `transfer_id`
-  /// directly at its planned receiver, bypassing the wire.
-  void OnChunkForceInstalled(uint64_t transfer_id, dataflow::InstanceId to);
-  /// The receiver suppressed a duplicate install (idempotent retry path).
-  void OnChunkDuplicateSuppressed(const dataflow::StreamElement& chunk);
-  /// A chunk of an aborted scale arrived and was dropped instead of
-  /// installed. Audit note, not a violation.
-  void OnChunkDroppedAborted(const dataflow::StreamElement& chunk);
+                        dataflow::InstanceId to) override;
+  /// Re-arms the chunk's lifecycle (back to sent) without counting as a
+  /// reuse.
+  void OnChunkRetransmitted(uint64_t transfer_id, uint32_t attempt) override;
+  void OnChunkForceInstalled(uint64_t transfer_id,
+                             dataflow::InstanceId to) override;
+  void OnChunkAborted(uint64_t transfer_id) override;
+  void OnChunkDuplicateSuppressed(
+      const dataflow::StreamElement& chunk) override;
+  /// Audit note, not a violation.
+  void OnChunkDroppedAborted(const dataflow::StreamElement& chunk) override;
+  void OnCompleteSent(dataflow::ScaleId scale, dataflow::SubscaleId subscale,
+                      dataflow::InstanceId from,
+                      dataflow::InstanceId to) override;
+  void OnRailReleased(dataflow::InstanceId from,
+                      dataflow::InstanceId to) override;
+
   /// StateTransfer::Install got a transfer id it has no record of (a
   /// duplicated or corrupted chunk). Under audit this is a recorded
-  /// violation instead of a process abort.
+  /// violation instead of a process abort, so it is called on the Auditor
+  /// directly rather than through the hook macro.
   void OnChunkUnknownInstall(const dataflow::StreamElement& chunk);
-  void OnCompleteSent(dataflow::ScaleId scale, dataflow::SubscaleId subscale,
-                      dataflow::InstanceId from, dataflow::InstanceId to);
-  void OnRailReleased(dataflow::InstanceId from, dataflow::InstanceId to);
-
-  // ---- simulator hooks (sim::EventQueue) ----
-
-  void OnEventPopped(sim::SimTime time, uint64_t seq);
 
   // ---- wrap-up ----
 
@@ -259,7 +237,6 @@ class Auditor {
   sim::SimTime Now() const;
   RecordInfo* TrackedRecord(uint64_t audit_id);
 
-  Options options_;
   const sim::Simulator* sim_ = nullptr;
   std::function<void(const Violation&)> on_violation_;
 

@@ -12,7 +12,7 @@
 //     a successful retry, and budget exhaustion degrading to a logged
 //     cancellation.
 //  3. A chaos matrix runs every scaling mechanism against every fault class
-//     under the invariant audit (DRRS_AUDIT builds) and asserts zero
+//     under the invariant audit (DRRS_OBSERVE builds) and asserts zero
 //     violations — recovery must be invisible to the correctness checks.
 
 #include <gtest/gtest.h>
@@ -21,10 +21,6 @@
 #include "harness/experiment.h"
 #include "verify/auditor.h"
 #include "workloads/workloads.h"
-
-#ifndef DRRS_AUDIT
-#define DRRS_AUDIT 0
-#endif
 
 namespace drrs::fault {
 namespace {
@@ -65,7 +61,7 @@ harness::ExperimentResult RunPipeline(const harness::ExperimentConfig& config) {
 
 void ExpectAuditClean(const harness::ExperimentResult& r,
                       bool mechanism_guarantees_order) {
-#if DRRS_AUDIT
+#if DRRS_OBSERVE_BUILD
   ASSERT_TRUE(r.audit.enabled);
   ASSERT_TRUE(r.audit.finalized);
   EXPECT_EQ(r.audit.CountOf(verify::AuditCheck::kConservation), 0u)
@@ -130,7 +126,7 @@ TEST(ChunkFaults, DroppedChunksAreRetransmittedAndInstalled) {
   EXPECT_GE(r.recovery.chunk_retransmits, r.recovery.chunks_dropped);
   EXPECT_EQ(r.sink_records, r.source_records);
   ExpectAuditClean(r, true);
-#if DRRS_AUDIT
+#if DRRS_OBSERVE_BUILD
   EXPECT_EQ(r.audit.chunks_lost, r.recovery.chunks_dropped);
   EXPECT_EQ(r.audit.chunks_retransmitted, r.recovery.chunk_retransmits);
 #endif

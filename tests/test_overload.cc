@@ -356,7 +356,7 @@ TEST(OverloadIntegration, SheddingBoundsQueuesAndAuditsCleanly) {
     // Kept records ledger: sink + shed accounts for every data record.
     EXPECT_EQ(r.sink_records + r.overload.records_shed, r.source_records);
     EXPECT_EQ(r.final_pressure, PressureLevel::kOk);  // crowd passed
-#if DRRS_AUDIT
+#if DRRS_OBSERVE_BUILD
     EXPECT_TRUE(r.audit.enabled);
     EXPECT_TRUE(r.audit.violations.empty())
         << r.audit.violations.front().message;

@@ -136,7 +136,7 @@ TEST(TelemetrySampler, SamplesOnTheConfiguredCadence) {
   // One sample per 500 ms until the sources dry up at 15 s.
   EXPECT_GE(t.sample_count(), 28u);
   EXPECT_LE(t.sample_count(), 31u);
-  EXPECT_EQ(t.last_sample_time() % t.options().sample_period, 0u);
+  EXPECT_EQ(t.last_sample_time() % telemetry::kSamplePeriod, 0u);
   ASSERT_GT(t.operator_count(), 0u);
   // The aggregator saw real traffic: service rate near the offered rate.
   dataflow::OperatorId agg = 1;
@@ -176,8 +176,8 @@ TEST(TelemetrySampler, DisabledLeavesResultEmpty) {
 // ---------------------------------------------------------------------------
 // Determinism: telemetry (including the CSV artifact) is byte-identical across
 // two runs of the same seed, through a DRRS rescale. Runs under whatever
-// DRRS_TRACE/DRRS_AUDIT setting this binary was compiled with — CI exercises
-// both the OFF (default) and ON (tracing job) configurations.
+// DRRS_OBSERVE setting this binary was compiled with — CI exercises both the
+// OFF (default) and ON (audit and tracing jobs) configurations.
 // ---------------------------------------------------------------------------
 
 std::string ReadFile(const std::string& path) {

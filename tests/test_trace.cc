@@ -1,7 +1,7 @@
 // Tests for the structured tracing layer (trace::Tracer). The class is
-// compiled in every build — only the engine hook sites are DRRS_TRACE-gated —
-// so the direct-call tests below run everywhere; end-to-end experiment
-// coverage is additionally gated on DRRS_TRACE.
+// compiled in every build — only the engine hook sites are gated by the
+// DRRS_OBSERVE option — so the direct-call tests below run everywhere;
+// end-to-end experiment coverage additionally needs an observe build.
 
 #include <gtest/gtest.h>
 
@@ -31,9 +31,11 @@ std::string Slurp(const std::string& path) {
   return os.str();
 }
 
-dataflow::StreamElement Chunk(dataflow::KeyGroupId kg, uint64_t bytes) {
+dataflow::StreamElement Chunk(uint64_t transfer, dataflow::KeyGroupId kg,
+                              uint64_t bytes) {
   dataflow::StreamElement e;
   e.kind = dataflow::ElementKind::kStateChunk;
+  e.seq = transfer;
   e.key_group = kg;
   e.chunk_bytes = bytes;
   return e;
@@ -41,13 +43,13 @@ dataflow::StreamElement Chunk(dataflow::KeyGroupId kg, uint64_t bytes) {
 
 TEST(Tracer, RingWrapsAndSnapshotsOldestFirst) {
   Tracer::Options opt;
-  opt.ring_capacity = 4;
   opt.flight_dump_path.clear();
   Tracer t(opt);
-  for (uint64_t i = 0; i < 10; ++i) t.OnScaleAborted(i);
-  EXPECT_EQ(t.event_count(), 10u);
+  const uint64_t total = Tracer::kRingCapacity + 6;
+  for (uint64_t i = 0; i < total; ++i) t.OnScaleAborted(i);
+  EXPECT_EQ(t.event_count(), total);
   auto snap = t.FlightRecorderSnapshot();
-  ASSERT_EQ(snap.size(), 4u);
+  ASSERT_EQ(snap.size(), Tracer::kRingCapacity);
   for (size_t i = 0; i < snap.size(); ++i) {
     EXPECT_EQ(snap[i].args[0].value, static_cast<int64_t>(6 + i));
   }
@@ -55,7 +57,6 @@ TEST(Tracer, RingWrapsAndSnapshotsOldestFirst) {
 
 TEST(Tracer, SnapshotBeforeWrapKeepsEmissionOrder) {
   Tracer::Options opt;
-  opt.ring_capacity = 16;
   opt.flight_dump_path.clear();
   Tracer t(opt);
   t.OnScaleAborted(1);
@@ -64,30 +65,6 @@ TEST(Tracer, SnapshotBeforeWrapKeepsEmissionOrder) {
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].args[0].value, 1);
   EXPECT_EQ(snap[1].args[0].value, 2);
-}
-
-TEST(Tracer, CategoryMaskGatesHooks) {
-  Tracer::Options opt;
-  opt.categories = kScale;  // runtime hooks disabled
-  opt.flight_dump_path.clear();
-  Tracer t(opt);
-  t.OnTaskStall(3, 1, metrics::StallReason::kAwaitingState, 0, 100);
-  EXPECT_EQ(t.event_count(), 0u);
-  t.OnScaleBegin(1);
-  EXPECT_EQ(t.event_count(), 1u);
-  EXPECT_FALSE(t.enabled(kRuntime));
-  EXPECT_TRUE(t.enabled(kScale));
-}
-
-TEST(Tracer, FirehoseCategoriesOffByDefault) {
-  Tracer t;
-  t.OnRecordProcessed(1, 1, 500);
-  t.OnElementTransmitted(dataflow::StreamElement{}, 1, 2);
-  t.OnElementDelivered(dataflow::StreamElement{}, 2, 1);
-  EXPECT_EQ(t.event_count(), 0u);
-  EXPECT_FALSE(t.enabled(kSimEvent));
-  EXPECT_FALSE(t.enabled(kNetElement));
-  EXPECT_FALSE(t.enabled(kRuntimeRecord));
 }
 
 TEST(Tracer, BackpressureIntervalEmittedAtRelease) {
@@ -112,13 +89,13 @@ TEST(Tracer, ChunkInstallFeedsFlightHistogram) {
   Tracer::Options opt;
   opt.flight_dump_path.clear();
   Tracer t(opt);
-  t.OnChunkEnqueued(7, Chunk(12, 4096), 1, 2);
-  t.OnChunkInstalled(7, 2);
+  t.OnChunkEnqueued(Chunk(7, 12, 4096), 1, 2);
+  t.OnChunkInstalled(Chunk(7, 12, 4096), 2);
   EXPECT_EQ(t.chunk_flight_histogram().count(), 1u);
   // Forced installs and aborts close the id without a flight sample.
-  t.OnChunkEnqueued(8, Chunk(13, 4096), 1, 2);
+  t.OnChunkEnqueued(Chunk(8, 13, 4096), 1, 2);
   t.OnChunkForceInstalled(8, 2);
-  t.OnChunkEnqueued(9, Chunk(14, 4096), 1, 2);
+  t.OnChunkEnqueued(Chunk(9, 14, 4096), 1, 2);
   t.OnChunkAborted(9);
   EXPECT_EQ(t.chunk_flight_histogram().count(), 1u);
 }
@@ -140,7 +117,6 @@ TEST(Tracer, StallsFeedPerOperatorHistogram) {
 TEST(Tracer, RingOnlyKeepsNoFullLogAndRefusesExport) {
   Tracer::Options opt;
   opt.ring_only = true;
-  opt.ring_capacity = 8;
   opt.flight_dump_path.clear();
   Tracer t(opt);
   for (uint64_t i = 0; i < 5; ++i) t.OnScaleBegin(i);
@@ -158,10 +134,10 @@ TEST(Tracer, ExportJsonWritesPerfettoDocument) {
   Tracer t(opt);
   t.OnScaleBegin(1);
   t.OnSubscaleOpen(1, 0);
-  t.OnChunkEnqueued(3, Chunk(5, 1024), 1, 2);
-  t.OnChunkInstalled(3, 2);
+  t.OnChunkEnqueued(Chunk(3, 5, 1024), 1, 2);
+  t.OnChunkInstalled(Chunk(3, 5, 1024), 2);
   t.OnSubscaleClose(1, 0);
-  t.OnScaleEnd(1);
+  t.OnScaleEnd(1, 0, 0);
   std::string path = TempPath("export.json");
   ASSERT_TRUE(t.ExportJson(path).ok());
   std::string doc = Slurp(path);
@@ -179,7 +155,6 @@ TEST(Tracer, ExportJsonWritesPerfettoDocument) {
 
 TEST(Tracer, FlightRecorderDumpWritesReasonAndEvents) {
   Tracer::Options opt;
-  opt.ring_capacity = 8;
   opt.flight_dump_path = TempPath("flight.json");
   Tracer t(opt);
   std::remove(opt.flight_dump_path.c_str());
@@ -270,10 +245,11 @@ TEST(JsonSummary, WriteCreatesFile) {
   EXPECT_FALSE(harness::WriteJsonSummary(r, "/nonexistent-dir/x.json").ok());
 }
 
-#if DRRS_TRACE
+#if DRRS_OBSERVE_BUILD
 
-// End-to-end: a scaled experiment in a DRRS_TRACE build produces a trace
-// with spans for every phase of the operation.
+// End-to-end: a scaled experiment in an observe build produces a trace with
+// spans for every phase of the operation, and the same hook calls reach the
+// Auditor, which sees one clean scale.
 TEST(TracerEndToEnd, ScaledRunExportsFullTrace) {
   workloads::CustomParams p;
   p.events_per_second = 1000;
@@ -303,6 +279,9 @@ TEST(TracerEndToEnd, ScaledRunExportsFullTrace) {
   EXPECT_NE(doc.find("\"chunk_wire\""), std::string::npos);
   EXPECT_NE(doc.find("\"rail_released\""), std::string::npos);
   EXPECT_NE(doc.find("\"drrsHistograms\""), std::string::npos);
+  EXPECT_TRUE(r.audit.enabled);
+  EXPECT_TRUE(r.audit.clean()) << r.audit.Summary();
+  EXPECT_EQ(r.audit.scales_observed, 1u);
 }
 
 // Without a trace path the tracer stays in ring-only mode: events are
@@ -324,7 +303,7 @@ TEST(TracerEndToEnd, NoPathRunsRingOnly) {
   EXPECT_EQ(r.flight_dumps, 0u);
 }
 
-#endif  // DRRS_TRACE
+#endif  // DRRS_OBSERVE_BUILD
 
 }  // namespace
 }  // namespace drrs::trace

@@ -8,7 +8,8 @@
 //  2. Fault-injection tests run the real engine (channels, rails,
 //     StateTransfer, ScaleContext) and seed one fault each — a dropped,
 //     duplicated or reordered state chunk — asserting the auditor catches
-//     it. These need the DRRS_AUDIT hook sites and are skipped otherwise.
+//     it. These need the hook sites of a DRRS_OBSERVE build and are skipped
+//     otherwise.
 //  3. Clean-run tests execute every scaling mechanism end-to-end through
 //     RunExperiment and assert the audit report is free of violations
 //     (modulo each mechanism's documented guarantees).
@@ -22,10 +23,6 @@
 #include "sim/simulator.h"
 #include "verify/auditor.h"
 #include "workloads/workloads.h"
-
-#ifndef DRRS_AUDIT
-#define DRRS_AUDIT 0
-#endif
 
 namespace drrs::verify {
 namespace {
@@ -295,22 +292,21 @@ TEST(AuditDeterminism, DetectsTimeRegressionAndTieBreakViolations) {
 }
 
 TEST(AuditReportTest, ViolationCapCountsDropped) {
-  Auditor::Options opt;
-  opt.max_violations = 2;
-  Auditor a(opt);
-  for (uint64_t i = 0; i < 5; ++i) {
+  Auditor a;
+  const uint64_t total = Auditor::kMaxViolations + 3;
+  for (uint64_t i = 0; i < total; ++i) {
     a.OnChunkEnqueued(Chunk(10 + i, 9), 2, 5);  // all outside a scale
   }
-  EXPECT_EQ(a.violations().size(), 2u);
+  EXPECT_EQ(a.violations().size(), Auditor::kMaxViolations);
   EXPECT_EQ(a.Report().dropped_violations, 3u);
   EXPECT_FALSE(a.clean());
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection through the real engine (DRRS_AUDIT builds)
+// Fault injection through the real engine (DRRS_OBSERVE builds)
 // ---------------------------------------------------------------------------
 
-#if DRRS_AUDIT
+#if DRRS_OBSERVE_BUILD
 
 /// Small live graph + auditor + ScaleContext, with one migration rail
 /// opened from instance 0 to instance 1 of the scaled operator.
@@ -432,7 +428,7 @@ TEST(AuditFaultInjection, ChunkOfAbortedScaleIsDroppedOnArrival) {
   EXPECT_TRUE(rig.auditor.clean()) << rig.auditor.Report().Summary();
 }
 
-#endif  // DRRS_AUDIT
+#endif  // DRRS_OBSERVE_BUILD
 
 // ---------------------------------------------------------------------------
 // Clean runs: every mechanism end-to-end under audit
@@ -466,7 +462,7 @@ harness::ExperimentResult RunCleanExperiment(harness::SystemKind kind) {
 
 void ExpectAuditClean(const harness::ExperimentResult& r,
                       bool mechanism_guarantees_order) {
-#if DRRS_AUDIT
+#if DRRS_OBSERVE_BUILD
   ASSERT_TRUE(r.audit.enabled);
   ASSERT_TRUE(r.audit.finalized);
 #endif

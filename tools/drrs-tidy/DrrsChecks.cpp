@@ -153,8 +153,7 @@ class HookRecorder : public PPCallbacks {
     const IdentifierInfo* ident = name_tok.getIdentifierInfo();
     if (!ident) return;
     llvm::StringRef name = ident->getName();
-    if (!name.startswith("DRRS_AUDIT") && !name.startswith("DRRS_TRACE"))
-      return;
+    if (!name.startswith("DRRS_OBSERVE")) return;
     SourceLocation loc = sm_.getSpellingLoc(range.getBegin());
     if (loc.isInvalid()) return;
     state_.RecordHookExpansion(sm_.getFilename(loc),
@@ -348,7 +347,7 @@ void AuditCoverageState::EvalQueueMutation(
   diag.Message =
       "mutation `" + field->getNameAsString() + "." +
       (method ? method->getNameAsString() : "?") +
-      "` has no DRRS_AUDIT/DRRS_TRACE hook site within " +
+      "` has no DRRS_OBSERVE hook site within " +
       std::to_string(kHookPairWindowLines) +
       " lines; auditable queue mutations must be lexically paired with a "
       "hook (or carry a NOLINT with the reason the site is unobservable)";

@@ -27,7 +27,7 @@
 ///                             (Channel wire_/input_queue_/remote_in_,
 ///                             StateTransfer in_transit_/staged_) must sit
 ///                             within kHookPairWindowLines lines of a
-///                             DRRS_AUDIT_* / DRRS_TRACE_* hook expansion.
+///                             DRRS_OBSERVE* hook expansion.
 ///                             Works with hooks compiled OFF because the
 ///                             macros still *expand* (to an empty statement),
 ///                             so PPCallbacks::MacroExpands fires either way.
@@ -113,8 +113,8 @@ void EvalArenaEscape(
 /// AST side, hook expansions from the preprocessor side, paired in Finish().
 class AuditCoverageState {
  public:
-  /// Called by the PPCallbacks hook for every DRRS_AUDIT_* / DRRS_TRACE_*
-  /// macro expansion.
+  /// Called by the PPCallbacks hook for every DRRS_OBSERVE* macro
+  /// expansion.
   void RecordHookExpansion(llvm::StringRef file, unsigned line);
 
   /// Called per queue-mutation match; applies NOLINT filtering and defers
@@ -132,7 +132,7 @@ class AuditCoverageState {
   std::map<std::string, std::vector<unsigned>> hook_lines_;  // file -> lines
 };
 
-/// PPCallbacks that records DRRS_AUDIT_* / DRRS_TRACE_* expansions into
+/// PPCallbacks that records DRRS_OBSERVE* expansions into
 /// `state`. Register on the Preprocessor before parsing starts.
 std::unique_ptr<clang::PPCallbacks> MakeHookRecorder(
     const clang::SourceManager& source_manager, AuditCoverageState& state);

@@ -1,11 +1,9 @@
 // Known-bad fixture for drrs-audit-hook-coverage: mutations of the audited
-// delivery queues with no DRRS_AUDIT/DRRS_TRACE hook within the pairing
-// window (8 lines).
+// delivery queues with no DRRS_OBSERVE hook within the pairing window
+// (8 lines).
 #include "drrs_stub.h"
 
-struct Auditor {
-  void OnElementPushed(const long*);
-};
+struct Simulator {};
 
 class Channel {
  public:
@@ -23,8 +21,8 @@ class Channel {
 
   // A hook that is too far away does not pair: the mutation below sits more
   // than 8 lines after the expansion.
-  void FlushWithDistantHook(Auditor* auditor) {
-    DRRS_AUDIT_CALL(auditor, OnElementPushed(nullptr));
+  void FlushWithDistantHook(Simulator* sim) {
+    DRRS_OBSERVE(sim, OnElementPushed(nullptr));
     long a = 0;
     long b = a + 1;
     long c = b + 1;

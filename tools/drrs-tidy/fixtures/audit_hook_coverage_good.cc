@@ -1,29 +1,22 @@
 // Known-good fixture for drrs-audit-hook-coverage: hooked mutations,
 // mutations of unwatched containers, and documented waivers must produce
-// zero diagnostics. The hook macros expand to empty statements here (hooks
-// compiled OFF), which must still count as hook sites.
+// zero diagnostics. The hook macro expands to an empty statement here (hooks
+// compiled OFF), which must still count as a hook site.
 #include "drrs_stub.h"
 
-struct Auditor {
-  void OnElementPushed(const long*);
-  void OnElementsExtracted(unsigned long);
-};
-
-struct Tracer {
-  void OnDelivery(long);
-};
+struct Simulator {};
 
 class Channel {
  public:
-  void Transmit(Auditor* auditor, long element) {
-    (void)auditor;
+  void Transmit(Simulator* sim, long element) {
+    (void)sim;
     wire_.push_back(element);
-    DRRS_AUDIT_CALL(auditor, OnElementPushed(&element));
+    DRRS_OBSERVE(sim, OnElementPushed(&element));
   }
 
-  void Deliver(Tracer* tracer) {
-    (void)tracer;
-    DRRS_TRACE_CALL(tracer, OnDelivery(wire_.back()));
+  void Deliver(Simulator* sim) {
+    (void)sim;
+    DRRS_OBSERVE(sim, OnElementDelivered(wire_.back()));
     long element = wire_.back();
     input_queue_.push_back(element);
     wire_.pop_front();

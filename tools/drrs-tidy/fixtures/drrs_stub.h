@@ -127,14 +127,11 @@ class RingDeque {
 
 }  // namespace drrs
 
-// As in the real tree with hooks compiled OFF: the macros expand to an
+// As in the real tree with hooks compiled OFF: the macro expands to an
 // empty statement, so PPCallbacks::MacroExpands fires either way — which is
 // exactly what drrs-audit-hook-coverage relies on.
-#define DRRS_AUDIT_CALL(auditor_expr, call) \
-  do {                                      \
-  } while (0)
-#define DRRS_TRACE_CALL(tracer_expr, call) \
-  do {                                     \
+#define DRRS_OBSERVE(sim_expr, call) \
+  do {                               \
   } while (0)
 
 #endif  // DRRS_TIDY_FIXTURES_DRRS_STUB_H_
