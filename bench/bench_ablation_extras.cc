@@ -5,9 +5,10 @@
 
 #include <cstdio>
 
-#include "bench/bench_workloads.h"
+#include "harness/experiment.h"
 #include "scaling/drrs/drrs.h"
 #include "scaling/strategy.h"
+#include "workloads/workloads.h"
 
 namespace {
 

@@ -17,7 +17,7 @@
 
 #include <memory>
 
-#include "bench/bench_workloads.h"
+#include "bench/figures.h"
 #include "scaling/drrs/drrs.h"
 #include "scaling/strategy.h"
 #include "workloads/operators.h"

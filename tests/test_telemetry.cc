@@ -1,8 +1,7 @@
 // Telemetry layer: LogHistogram quantile edge cases (the sampler's latency
 // snapshots lean on them), RingSeries retention and windowed queries, the
-// capacity estimator, TagSet collision handling, and determinism — every
-// sampled value, including the CSV export, is byte-identical across runs of
-// the same seed.
+// capacity estimator, and determinism — every sampled value, including the
+// CSV export, is byte-identical across runs of the same seed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +9,6 @@
 #include <sstream>
 #include <string>
 
-#include "bench/bench_workloads.h"
 #include "harness/experiment.h"
 #include "metrics/histogram.h"
 #include "telemetry/telemetry.h"
@@ -82,27 +80,6 @@ TEST(RingSeries, WindowedQueriesSeeOnlyTheWindow) {
   // An empty window (nothing retained in range) reads as 0.
   EXPECT_EQ(s.MeanIn(sim::Seconds(100), sim::Seconds(200)), 0.0);
   EXPECT_EQ(s.QuantileIn(0.5, sim::Seconds(100), sim::Seconds(200)), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// TagSet (collision-safe per-run output tagging)
-// ---------------------------------------------------------------------------
-
-TEST(TagSet, RepeatedTagsGetOrdinalSuffixes) {
-  bench::TagSet tags;
-  EXPECT_EQ(tags.Unique("drrs"), "drrs");
-  EXPECT_EQ(tags.Unique("drrs"), "drrs-2");
-  EXPECT_EQ(tags.Unique("drrs"), "drrs-3");
-  EXPECT_EQ(tags.Unique("meces"), "meces");
-  EXPECT_EQ(tags.Path("out.json", "drrs"), "out.drrs-4.json");
-}
-
-TEST(TagSetDeathTest, ExplicitConflictingTagAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  bench::TagSet tags;
-  tags.Unique("drrs");
-  tags.Unique("drrs");  // takes "drrs-2"
-  EXPECT_DEATH(tags.Unique("drrs-2"), "tag_collision");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,107 +1,69 @@
 #!/usr/bin/env python3
-"""Campaign runner: declarative sweeps over the DRRS bench binaries.
+"""Campaign runner: the figure cells of bench_figures, one process each.
 
-Each figure of the paper reproduction is a *campaign*: one bench binary run
-with `--json-summary`, producing one schema-v2 summary per cell (system, or
-workload x system, or grid point). This tool runs the requested campaigns in
-parallel, harvests the per-cell summaries, reduces each to the figure-level
-metrics the perf gate tracks (records/s, mechanism time, p99 latency, ...)
-and appends one history row per figure to `BENCH_fig*.json` at the repo
-root — the committed perf-trajectory files that `tools/perf_gate.py
---figure` diffs against.
+`bench_figures --list` names, for every figure of the paper reproduction,
+its labels and the cell each label reads; figures that show the same runs
+share cells (Figs 10-13 read the same nine, Fig 14's full DRRS is Fig 10's
+Twitch cell). This tool runs the distinct cells of the requested figures
+once each, `--jobs` processes at a time (`bench_figures --cell=<id>
+--json-summary=...`), reduces each cell's schema-v2 summary to the
+figure-level metrics the perf gate tracks (records/s, mechanism time, p99
+latency, ...) and appends one history row per figure, keyed by the
+figure's labels, to `BENCH_<fig>.json` at the repo root — the committed
+perf-trajectory files that `tools/perf_gate.py --figure` diffs against.
 
 Usage:
     campaign.py --bench-dir build/bench                  # fig02, fig10, fig11
     campaign.py --figures fig02 --scale 0.05 --no-update # CI smoke
     campaign.py --figures all --jobs 4 --row v10
 
-    --out-dir DIR     where raw per-cell summaries land (default: a temp dir)
+    --out-dir DIR     where raw per-cell summaries and logs land
+                      (default: a temp dir)
     --emit-dir DIR    where BENCH_fig*.json live (default: repo root)
     --row LABEL       history row label (default: "r<N>" = next index)
     --no-update       write candidate files as BENCH_<fig>.candidate.json
                       instead of appending to the committed history (gating)
-    --telemetry       pass --telemetry to binaries that support it
+    --telemetry       run the cells with the telemetry sampler on
     --trace DIR       also export Perfetto traces per cell into DIR
     --check FILE...   validate trajectory files against figure_schema.json
                       and exit (runs nothing; used by the CI smoke job)
 
 Pure standard library; no third-party packages.
 
-Exit status: 0 ok, 1 a campaign failed, 2 usage error.
+Exit status: 0 ok, 1 a cell failed, 2 usage error.
 """
 
 import argparse
 import concurrent.futures
-import glob
 import json
 import os
 import subprocess
 import sys
 import tempfile
 
-# Declarative sweep registry. `cells` documents the expected tag pattern;
-# the harvester discovers actual cells from the emitted summary files, so a
-# registry entry never goes stale when a binary adds a system.
-FIGURES = {
-    "fig02": {
-        "binary": "bench_fig02_motivation",
-        "sweep": "twitch x {unbound, otfs-fluid, no-scale}",
-        "telemetry": True,
-    },
-    "fig10": {
-        "binary": "bench_fig10_latency",
-        "sweep": "{q7, q8, twitch} x {drrs, megaphone, meces}",
-        "telemetry": True,
-    },
-    "fig11": {
-        "binary": "bench_fig11_throughput",
-        "sweep": "{q7, q8, twitch} x {drrs, megaphone, meces}",
-        "telemetry": True,
-    },
-    "fig12": {
-        "binary": "bench_fig12_sync_overhead",
-        "sweep": "{q7, q8, twitch} x {drrs, megaphone, meces}",
-        "telemetry": True,
-    },
-    "fig13": {
-        "binary": "bench_fig13_suspension",
-        "sweep": "{q7, q8, twitch} x {drrs, megaphone, meces}",
-        "telemetry": True,
-    },
-    "fig14": {
-        "binary": "bench_fig14_ablation",
-        "sweep": "twitch x {drrs, drrs-dr, drrs-schedule, drrs-subscale}",
-        "telemetry": True,
-    },
-    "fig15": {
-        "binary": "bench_fig15_sensitivity",
-        "sweep": "rate x state-bytes x skew x {drrs, megaphone, meces} "
-                 "(108 cells; slow)",
-        "telemetry": True,
-    },
-    "flash_crowd": {
-        "binary": "bench_flash_crowd",
-        "sweep": "flash-crowd x {unprotected, shedding, throttle, breaker}",
-        "telemetry": True,
-    },
-}
 DEFAULT_FIGURES = ["fig02", "fig10", "fig11"]
+BINARY = "bench_figures"
 
-# The figure-level metrics extracted from each schema-v2 summary. Keep in
-# sync with tools/figure_schema.json and perf_gate.py --figure.
-CELL_METRICS = [
-    "records_per_sec", "source_records", "sink_records",
-    "mechanism_duration_us", "scaling_period_us",
-    "p99_latency_ms", "peak_latency_ms", "avg_latency_ms",
-]
+
+def list_figures(binary):
+    """`bench_figures --list` -> {figure: [(label, cell), ...]} in order."""
+    out = subprocess.run([binary, "--list"], check=True, text=True,
+                         stdout=subprocess.PIPE).stdout
+    figures = {}
+    for line in out.splitlines():
+        fig, label, cell = line.split()
+        figures.setdefault(fig, []).append((label, cell))
+    return figures
 
 
 def reduce_summary(doc):
-    """One schema-v2 --json-summary document -> figure-level metrics."""
+    """One schema-v2 --json-summary document -> figure-level metrics (the
+    cell_metrics of tools/figure_schema.json, which perf_gate.py --figure
+    gates)."""
     version = doc.get("schema_version", 0)
     if version < 2:
-        raise ValueError(f"schema_version {version} < 2 — rebuild the bench "
-                         "binaries (records/s needs the sim_end_us field)")
+        raise ValueError(f"schema_version {version} < 2 — rebuild "
+                         f"{BINARY} (records/s needs the sim_end_us field)")
     sim_end_s = doc["sim_end_us"] / 1e6
     hist = doc.get("latency", {}).get("histogram_ms", {})
     return {
@@ -119,48 +81,37 @@ def reduce_summary(doc):
     }
 
 
-def run_campaign(fig, spec, args, out_dir):
-    """Run one bench binary, harvest its per-cell summaries."""
-    binary = os.path.join(args.bench_dir, spec["binary"])
-    if not os.path.exists(binary):
-        return fig, None, f"binary not found: {binary}"
-    summary_base = os.path.join(out_dir, f"{fig}.json")
-    cmd = [binary, "--no-series", f"--json-summary={summary_base}"]
+def run_cell(cell, binary, args, out_dir):
+    """Run one cell in its own process, harvest its summary."""
+    summary_base = os.path.join(out_dir, "cell.json")
+    cmd = [binary, f"--cell={cell}", f"--json-summary={summary_base}"]
     if args.scale != 1.0:
         cmd += ["--scale", str(args.scale)]
-    if args.telemetry and spec.get("telemetry"):
+    if args.telemetry:
         cmd.append("--telemetry")
     if args.trace:
-        os.makedirs(args.trace, exist_ok=True)
-        cmd.append(f"--trace={os.path.join(args.trace, fig + '.json')}")
-    print(f"campaign: [{fig}] {' '.join(cmd)}", flush=True)
+        cmd.append(f"--trace={os.path.join(args.trace, 'cell.json')}")
+    print(f"campaign: [{cell}] {' '.join(cmd)}", flush=True)
     proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT, text=True)
-    log_path = os.path.join(out_dir, f"{fig}.log")
+    log_path = os.path.join(out_dir, f"{cell}.log")
     with open(log_path, "w", encoding="utf-8") as f:
         f.write(proc.stdout)
     if proc.returncode != 0:
-        return fig, None, (f"{spec['binary']} exited {proc.returncode} "
-                           f"(log: {log_path})")
-
-    cells = {}
-    pattern = os.path.join(out_dir, f"{fig}.*.json")
-    for path in sorted(glob.glob(pattern)):
-        tag = os.path.basename(path)[len(fig) + 1:-len(".json")]
-        try:
-            with open(path, encoding="utf-8") as f:
-                cells[tag] = reduce_summary(json.load(f))
-        except (ValueError, KeyError, json.JSONDecodeError) as e:
-            return fig, None, f"bad summary {path}: {e}"
-    if not cells:
-        return fig, None, f"no summaries matched {pattern}"
-    return fig, cells, None
+        return cell, None, (f"{BINARY} --cell={cell} exited "
+                            f"{proc.returncode} (log: {log_path})")
+    path = os.path.join(out_dir, f"cell.{cell}.json")
+    try:
+        with open(path, encoding="utf-8") as f:
+            return cell, reduce_summary(json.load(f)), None
+    except (OSError, ValueError, KeyError) as e:
+        return cell, None, f"bad summary {path}: {e}"
 
 
-def emit_trajectory(fig, spec, cells, args):
+def emit_trajectory(fig, labels, cells, args):
     """Append a history row to BENCH_<fig>.json (or write a candidate)."""
     committed = os.path.join(args.emit_dir, f"BENCH_{fig}.json")
-    doc = {"figure": fig, "bench": spec["binary"], "sweep": spec["sweep"],
+    doc = {"figure": fig, "bench": BINARY, "sweep": dict(labels),
            "history": []}
     if os.path.exists(committed):
         with open(committed, encoding="utf-8") as f:
@@ -171,7 +122,7 @@ def emit_trajectory(fig, spec, cells, args):
     doc["history"].append({
         "row": row_label,
         "scale": args.scale,
-        "cells": cells,
+        "cells": {label: cells[cell] for label, cell in labels},
     })
     out_path = committed
     if args.no_update:
@@ -182,7 +133,7 @@ def emit_trajectory(fig, spec, cells, args):
     with open(out_path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"campaign: [{fig}] {len(cells)} cells -> {out_path} "
+    print(f"campaign: [{fig}] {len(labels)} cells -> {out_path} "
           f"(row '{row_label}')")
     return out_path
 
@@ -240,21 +191,21 @@ def main():
                         help="comma-separated figure list, or 'all' "
                              f"(default: {','.join(DEFAULT_FIGURES)})")
     parser.add_argument("--bench-dir", default="build/bench",
-                        help="directory with the bench binaries")
+                        help=f"directory with the {BINARY} binary")
     parser.add_argument("--out-dir", default=None,
                         help="raw summary/log directory (default: temp dir)")
     parser.add_argument("--emit-dir", default=".",
                         help="where BENCH_fig*.json live (default: .)")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 2,
-                        help="campaigns run in parallel (default: cores)")
+                        help="cells run in parallel (default: cores)")
     parser.add_argument("--row", default=None,
                         help="history row label (default: next index)")
     parser.add_argument("--no-update", action="store_true",
                         help="emit BENCH_<fig>.candidate.json instead of "
                              "appending to the committed trajectory")
     parser.add_argument("--telemetry", action="store_true",
-                        help="run the binaries with the telemetry sampler on")
+                        help="run the cells with the telemetry sampler on")
     parser.add_argument("--trace", default=None,
                         help="directory for per-cell Perfetto traces")
     parser.add_argument("--check", nargs="+", metavar="FILE",
@@ -269,42 +220,53 @@ def main():
     if args.check:
         return check_files(args.check, args.schema)
 
-    names = (list(FIGURES) if args.figures == "all"
+    binary = os.path.join(args.bench_dir, BINARY)
+    if not os.path.exists(binary):
+        print(f"campaign: binary not found: {binary}", file=sys.stderr)
+        return 2
+    figures = list_figures(binary)
+    names = (list(figures) if args.figures == "all"
              else [f.strip() for f in args.figures.split(",") if f.strip()])
     for fig in names:
-        if fig not in FIGURES:
+        if fig not in figures:
             print(f"campaign: unknown figure '{fig}' "
-                  f"(known: {', '.join(FIGURES)})", file=sys.stderr)
+                  f"(known: {', '.join(figures)})", file=sys.stderr)
             return 2
 
     out_dir = args.out_dir or tempfile.mkdtemp(prefix="drrs_campaign_")
     os.makedirs(out_dir, exist_ok=True)
     os.makedirs(args.emit_dir, exist_ok=True)
+    if args.trace:
+        os.makedirs(args.trace, exist_ok=True)
 
+    # Each distinct cell runs once, however many requested figures read it.
+    cells = list(dict.fromkeys(cell for fig in names
+                               for _, cell in figures[fig]))
     failures = []
     results = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
-        futures = [ex.submit(run_campaign, fig, FIGURES[fig], args, out_dir)
-                   for fig in names]
+        futures = [ex.submit(run_cell, cell, binary, args, out_dir)
+                   for cell in cells]
         for fut in concurrent.futures.as_completed(futures):
-            fig, cells, err = fut.result()
+            cell, metrics, err = fut.result()
             if err:
-                failures.append(f"{fig}: {err}")
+                failures.append(f"{cell}: {err}")
             else:
-                results[fig] = cells
+                results[cell] = metrics
 
-    # Emit in registry order so reruns produce identical files.
+    emitted = 0
     for fig in names:
-        if fig in results:
-            emit_trajectory(fig, FIGURES[fig], results[fig], args)
+        if all(cell in results for _, cell in figures[fig]):
+            emit_trajectory(fig, figures[fig], results, args)
+            emitted += 1
 
     if failures:
-        print(f"campaign: {len(failures)} campaign(s) failed:",
-              file=sys.stderr)
+        print(f"campaign: {len(failures)} cell(s) failed:", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print(f"campaign: OK ({len(results)} figure(s), summaries in {out_dir})")
+    print(f"campaign: OK ({emitted} figure(s) from {len(cells)} cells, "
+          f"summaries in {out_dir})")
     return 0
 
 
