@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/export.h"
 #include "metrics/histogram.h"
 
 namespace drrs::harness {
@@ -35,49 +36,29 @@ void AppendDouble(std::string* out, const char* key, double v) {
 
 void AppendString(std::string* out, const char* key, const std::string& v) {
   AppendKey(out, key);
-  *out += '"';
-  for (char c : v) {
-    if (c == '"' || c == '\\') *out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) *out += c;
-  }
-  *out += '"';
+  AppendJsonString(out, v);
 }
 
 void AppendHistogram(std::string* out, const char* key,
                      const metrics::LogHistogram& hist) {
-  metrics::LogHistogram::Summary s = hist.Summarize();
   AppendKey(out, key);
-  *out += '{';
-  AppendU64(out, "count", s.count);
-  *out += ',';
-  AppendDouble(out, "mean", s.mean);
-  *out += ',';
-  AppendDouble(out, "p50", s.p50);
-  *out += ',';
-  AppendDouble(out, "p90", s.p90);
-  *out += ',';
-  AppendDouble(out, "p99", s.p99);
-  *out += ',';
-  AppendDouble(out, "p999", s.p999);
-  *out += ',';
-  AppendDouble(out, "max", s.max);
-  *out += '}';
+  hist.AppendJson(out);
 }
 
-/// Windowed roll-up of one telemetry series: mean/max over the retained
-/// window plus the final reading. The full series lives in the CSV/trace
-/// exports; the summary carries enough to gate on.
+/// Roll-up of one telemetry series over the whole run: mean/max plus the
+/// final reading. The full series lives in the CSV/trace exports; the
+/// summary carries enough to gate on.
 void AppendSeriesStats(std::string* out, const char* key,
-                       const telemetry::RingSeries& s) {
+                       const metrics::TimeSeries& s) {
   AppendKey(out, key);
   *out += '{';
   AppendDouble(out, "mean", s.MeanIn(0, sim::kSimTimeMax));
   *out += ',';
   AppendDouble(out, "max", s.MaxIn(0, sim::kSimTimeMax));
   *out += ',';
-  AppendDouble(out, "last", s.Last());
+  AppendDouble(out, "last", s.empty() ? 0 : s.samples().back().value);
   *out += ',';
-  AppendU64(out, "samples", s.total_pushed());
+  AppendU64(out, "samples", s.size());
   *out += '}';
 }
 
@@ -311,17 +292,7 @@ std::string JsonSummary(const ExperimentResult& result) {
 
 Status WriteJsonSummary(const ExperimentResult& result,
                         const std::string& path) {
-  std::string json = JsonSummary(result);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open json summary file: " + path);
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  int close_err = std::fclose(f);
-  if (written != json.size() || close_err != 0) {
-    return Status::Internal("short write to json summary file: " + path);
-  }
-  return Status::OK();
+  return WriteFile(path, JsonSummary(result), "json summary");
 }
 
 }  // namespace drrs::harness

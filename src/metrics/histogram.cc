@@ -1,7 +1,9 @@
 #include "metrics/histogram.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 
 namespace drrs::metrics {
 
@@ -72,6 +74,17 @@ LogHistogram::Summary LogHistogram::Summarize() const {
   s.p999 = Quantile(0.999);
   s.max = max();
   return s;
+}
+
+void LogHistogram::AppendJson(std::string* out) const {
+  Summary s = Summarize();
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"count\":%" PRIu64
+                ",\"mean\":%.6g,\"p50\":%.6g,\"p90\":%.6g,\"p99\":%.6g,"
+                "\"p999\":%.6g,\"max\":%.6g}",
+                s.count, s.mean, s.p50, s.p90, s.p99, s.p999, s.max);
+  *out += buf;
 }
 
 }  // namespace drrs::metrics

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace drrs::metrics {
@@ -43,6 +44,10 @@ class LogHistogram {
     double max = 0;
   };
   Summary Summarize() const;
+  /// Append Summarize() to `out` as the JSON object
+  /// {"count":N,"mean":..,"p50":..,"p90":..,"p99":..,"p999":..,"max":..}
+  /// with every double printed as %.6g.
+  void AppendJson(std::string* out) const;
 
  private:
   static constexpr int kSubBits = 3;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
-
 
 namespace drrs::metrics {
 
@@ -25,22 +23,6 @@ double TimeSeries::MeanIn(sim::SimTime begin, sim::SimTime end) const {
     ++n;
   }
   return n == 0 ? 0 : sum / static_cast<double>(n);
-}
-
-double TimeSeries::QuantileIn(double q, sim::SimTime begin,
-                              sim::SimTime end) const {
-  std::vector<double> vals;
-  for (const Sample& s : samples_) {
-    if (s.time < begin || s.time > end) continue;
-    vals.push_back(s.value);
-  }
-  if (vals.empty()) return 0;
-  std::sort(vals.begin(), vals.end());
-  double idx = q * static_cast<double>(vals.size() - 1);
-  size_t lo = static_cast<size_t>(idx);
-  size_t hi = std::min(lo + 1, vals.size() - 1);
-  double frac = idx - static_cast<double>(lo);
-  return vals[lo] * (1 - frac) + vals[hi] * frac;
 }
 
 TimeSeries::WindowStats TimeSeries::StatsIn(sim::SimTime begin,
@@ -71,31 +53,6 @@ double TimeSeries::MeanAbsDeviationIn(double ref, sim::SimTime begin,
     ++n;
   }
   return n == 0 ? 0 : dev / static_cast<double>(n);
-}
-
-std::vector<TimeSeries::Window> TimeSeries::Windows(sim::SimTime begin,
-                                                    sim::SimTime end,
-                                                    sim::SimTime width) const {
-  std::vector<Window> out;
-  if (width <= 0 || end < begin) return out;
-  for (const Sample& s : samples_) {
-    if (s.time < begin || s.time > end) continue;
-    sim::SimTime start = begin + (s.time - begin) / width * width;
-    if (out.empty() || out.back().start != start) {
-      out.push_back({start, {}});
-    }
-    WindowStats& w = out.back().stats;
-    if (w.count == 0) {
-      w.min = s.value;
-      w.max = s.value;
-    } else {
-      w.min = std::min(w.min, s.value);
-      w.max = std::max(w.max, s.value);
-    }
-    w.sum += s.value;
-    ++w.count;
-  }
-  return out;
 }
 
 std::vector<Sample> TimeSeries::Bucketed(sim::SimTime bucket,

@@ -28,8 +28,6 @@ class TimeSeries {
   /// Max/mean over samples with time in [begin, end].
   double MaxIn(sim::SimTime begin, sim::SimTime end) const;
   double MeanIn(sim::SimTime begin, sim::SimTime end) const;
-  /// p-quantile (0..1) over samples in [begin, end]; 0 when empty.
-  double QuantileIn(double q, sim::SimTime begin, sim::SimTime end) const;
 
   /// Aggregate statistics over samples with time in [begin, end], computed
   /// in one pass in sample order (so sums match a hand-written loop bit for
@@ -49,17 +47,6 @@ class TimeSeries {
   /// The throughput-deviation metric of Fig 11/15.
   double MeanAbsDeviationIn(double ref, sim::SimTime begin,
                             sim::SimTime end) const;
-
-  /// Per-window statistics over [begin, end], fixed window `width`: window k
-  /// covers [begin + k*width, begin + (k+1)*width). Windows with no samples
-  /// are skipped, like Bucketed. For per-window quantiles call QuantileIn
-  /// over [w.start, w.start + width - 1].
-  struct Window {
-    sim::SimTime start = 0;
-    WindowStats stats;
-  };
-  std::vector<Window> Windows(sim::SimTime begin, sim::SimTime end,
-                              sim::SimTime width) const;
 
   /// Reduce to fixed-width buckets; each bucket's value is the mean (or max)
   /// of contained samples. Buckets with no samples are skipped.

@@ -157,7 +157,6 @@ StreamElement Channel::RemoveInputAt(size_t pos) {
   // Auditor::OnRecordShed for every removal before calling this; the erase
   // itself is credit bookkeeping via NotifyInputConsumed().
   input_queue_.erase(pos);
-  ++shed_elements_;
   NotifyInputConsumed();
   return e;
 }

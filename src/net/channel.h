@@ -163,8 +163,6 @@ class Channel {
   dataflow::StreamElement RemoveInputAt(size_t pos);
 
   size_t input_queue_size() const { return input_queue_.size(); }
-  /// Elements removed from the input cache by load shedding.
-  uint64_t shed_elements() const { return shed_elements_; }
 
   /// Re-attempt transmission after an external gate lifted (e.g. the fault
   /// plane healed a link partition). No-op when nothing can move.
@@ -238,7 +236,6 @@ class Channel {
 
   uint64_t delivered_elements_ = 0;
   uint64_t delivered_bytes_ = 0;
-  uint64_t shed_elements_ = 0;
   uint64_t delivered_batches_ = 0;
   uint64_t max_batch_size_ = 0;
   std::array<uint64_t, 16> batch_size_log2_hist_ = {};

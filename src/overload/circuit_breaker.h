@@ -93,18 +93,6 @@ class CircuitBreaker {
   uint64_t opens() const { return opens_; }
   uint64_t rejections() const { return rejections_; }
 
-  static const char* StateName(State s) {
-    switch (s) {
-      case State::kClosed:
-        return "closed";
-      case State::kOpen:
-        return "open";
-      case State::kHalfOpen:
-        return "half-open";
-    }
-    return "?";
-  }
-
  private:
   void Open(sim::SimTime now) {
     state_ = State::kOpen;

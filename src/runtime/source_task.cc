@@ -101,7 +101,6 @@ void SourceTask::RunOnce() {
   max_event_time_ = std::max(max_event_time_, e.event_time);
   busy_until_ = now + spec_.record_cost;
   Emit(e);
-  ++emitted_records_;
   hub_->RecordSourceEmit(now);
 
   if (timing_.watermark_interval > 0 &&

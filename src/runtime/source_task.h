@@ -53,7 +53,6 @@ class SourceTask : public Task {
   void InjectCheckpointBarrier(uint64_t checkpoint_id);
 
   bool exhausted() const { return exhausted_; }
-  uint64_t emitted_records() const { return emitted_records_; }
 
   /// Install (or clear, with nullptr) the overload source throttle. Null
   /// when overload control is off: the emission path pays one pointer test.
@@ -81,7 +80,6 @@ class SourceTask : public Task {
   sim::SimTime next_marker_ = 0;
   sim::SimTime last_watermark_emit_ = -1;
   sim::SimTime max_event_time_ = 0;
-  uint64_t emitted_records_ = 0;
 };
 
 }  // namespace drrs::runtime

@@ -139,14 +139,10 @@ void Task::ResetInputHandler() {
 void Task::BlockChannel(net::Channel* channel) {
   if (channel->receiver_blocked()) return;
   channel->set_receiver_blocked(true);
-  ++blocked_count_;
 }
 
 void Task::UnblockChannel(net::Channel* channel) {
-  if (channel->receiver_blocked()) {
-    channel->set_receiver_blocked(false);
-    --blocked_count_;
-  }
+  channel->set_receiver_blocked(false);
   suspend_memo_ = false;
   MaybeSchedule();
 }
@@ -175,10 +171,7 @@ void Task::Crash() {
   // stay blocked across the restart (the coordinator's checkpoint simply
   // never completes).
   for (net::Channel* ch : ckpt_received_) {
-    if (ch->receiver_blocked()) {
-      ch->set_receiver_blocked(false);
-      --blocked_count_;
-    }
+    ch->set_receiver_blocked(false);
   }
   ckpt_active_ = false;
   ckpt_received_.clear();

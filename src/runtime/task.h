@@ -100,7 +100,6 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   /// overload control is off, so the delivery hot path pays one pointer test.
   void set_arrival_gate(ArrivalGate* gate) { arrival_gate_ = gate; }
   ArrivalGate* arrival_gate() const { return arrival_gate_; }
-  void set_subtask_index(uint32_t idx) { subtask_ = idx; }
 
   /// Create the keyed state backend (stateful operators only).
   void InitState(uint32_t num_key_groups);
@@ -120,7 +119,6 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
     // so the per-selection check is a load instead of a hash lookup.
     return channel->receiver_blocked();
   }
-  size_t blocked_channel_count() const { return blocked_count_; }
 
   /// True when `head` (a data element at the head of `channel`) may be
   /// processed now, per the installed hook.
@@ -203,8 +201,6 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   uint64_t processed_records() const { return processed_records_; }
   sim::SimTime busy_until() const { return busy_until_; }
   bool stalled() const { return stalled_; }
-  metrics::StallReason stall_reason() const { return stall_reason_; }
-  bool run_scheduled() const { return run_scheduled_; }
   bool suspend_memo() const { return suspend_memo_; }
   sim::SimTime busy_time() const { return busy_time_; }
   sim::SimTime current_watermark() const { return operator_watermark_; }
@@ -262,7 +258,6 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
 
   std::vector<net::Channel*> input_channels_;
   std::vector<OutputEdge> output_edges_;
-  size_t blocked_count_ = 0;  ///< channels with receiver_blocked() set
 
   // processing loop state
   bool stalled_ = false;

@@ -46,12 +46,6 @@ class ScalingRails {
   void PushComplete(net::Channel* rail, dataflow::InstanceId from,
                     dataflow::ScaleId scale, dataflow::SubscaleId subscale);
 
-  /// Whether `from` currently has open rails (watermark forwarding active).
-  bool HasRailsFrom(dataflow::InstanceId from) const {
-    auto it = by_source_.find(from);
-    return it != by_source_.end() && !it->second.empty();
-  }
-
   /// Release one rail: clear the receiver's side-watermark constraint and
   /// stop forwarding over it.
   void Release(net::Channel* rail);

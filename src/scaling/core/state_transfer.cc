@@ -60,7 +60,6 @@ uint64_t StateTransfer::Enqueue(runtime::Task* from, net::Channel* rail,
   // reuses it. staging_bytes_ tracks the sender-side migration footprint.
   transit.wire_buffer = sim_->arena()->AllocateBlock(bytes);
   staging_bytes_ += bytes;
-  peak_staging_bytes_ = std::max(peak_staging_bytes_, staging_bytes_);
   DRRS_OBSERVE(sim_, OnChunkEnqueued(chunk, from->id(), rail->receiver_id()));
   if (priority) {
     rail->PushPriority(std::move(chunk));

@@ -89,7 +89,6 @@ class StateTransfer {
   /// chunk_retransmits / duplicate_installs_suppressed counters.
   void EnableReliability(const ChunkRetryPolicy& policy,
                          metrics::MetricsHub* hub);
-  const ChunkRetryPolicy& retry_policy() const { return policy_; }
 
   size_t in_transit_count() const { return in_transit_.size(); }
   /// Entries belonging to one scaling operation (leak check granularity).
@@ -99,13 +98,11 @@ class StateTransfer {
   /// the transfer stage finished).
   uint64_t enqueued_count(dataflow::ScaleId scale) const;
 
-  /// Chunk staging-buffer footprint (bytes of arena blocks held by chunks
-  /// currently on the wire) and its high-water mark across the run. The
-  /// buffers come from the simulator's data-plane arena, so consecutive
-  /// transfers — and every retransmission — recycle the same blocks instead
-  /// of hitting the heap.
+  /// Chunk staging-buffer footprint: bytes of arena blocks held by chunks
+  /// currently on the wire. The buffers come from the simulator's data-plane
+  /// arena, so consecutive transfers — and every retransmission — recycle the
+  /// same blocks instead of hitting the heap.
   uint64_t staging_bytes() const { return staging_bytes_; }
-  uint64_t peak_staging_bytes() const { return peak_staging_bytes_; }
 
  private:
   uint64_t Enqueue(runtime::Task* from, net::Channel* rail,
@@ -150,7 +147,6 @@ class StateTransfer {
   ChunkRetryPolicy policy_;
   metrics::MetricsHub* hub_ = nullptr;
   uint64_t staging_bytes_ = 0;
-  uint64_t peak_staging_bytes_ = 0;
 };
 
 /// \brief View of a StateTransfer bound to one scaling operation: the

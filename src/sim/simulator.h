@@ -51,11 +51,6 @@ class Simulator {
     queue_.ScheduleRaw(at < now_ ? now_ : at, fn, arg);
   }
 
-  /// Raw counterpart of ScheduleAfter (delay must be >= 0).
-  void ScheduleRawAfter(SimTime delay, EventQueue::RawFn fn, void* arg) {
-    queue_.ScheduleRaw(now_ + delay, fn, arg);
-  }
-
   /// Run events until the queue is empty or `horizon` is passed. Events at
   /// exactly `horizon` still execute. Returns the number of events executed.
   uint64_t RunUntil(SimTime horizon);

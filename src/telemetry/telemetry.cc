@@ -1,8 +1,9 @@
 #include "telemetry/telemetry.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <string_view>
 
+#include "common/export.h"
 #include "metrics/histogram.h"
 #include "metrics/metrics_hub.h"
 #include "net/channel.h"
@@ -34,88 +35,17 @@ const char* SeriesName(SeriesKind kind) {
   return "?";
 }
 
-// ---- RingSeries ------------------------------------------------------------
-
-void RingSeries::Push(sim::SimTime t, double v) {
-  if (samples_.size() < capacity_) {
-    samples_.push_back({t, v});
-  } else {
-    samples_[next_] = {t, v};
-    next_ = (next_ + 1) % capacity_;
-    wrapped_ = true;
-  }
-  ++total_pushed_;
-}
-
-std::vector<metrics::Sample> RingSeries::Snapshot() const {
-  if (!wrapped_) return samples_;
-  std::vector<metrics::Sample> out;
-  out.reserve(samples_.size());
-  for (size_t i = 0; i < samples_.size(); ++i) {
-    out.push_back(samples_[(next_ + i) % samples_.size()]);
-  }
-  return out;
-}
-
-double RingSeries::MeanIn(sim::SimTime begin, sim::SimTime end) const {
-  double sum = 0;
-  uint64_t n = 0;
-  for (const metrics::Sample& s : samples_) {
-    if (s.time < begin || s.time > end) continue;
-    sum += s.value;
-    ++n;
-  }
-  return n == 0 ? 0 : sum / static_cast<double>(n);
-}
-
-double RingSeries::MaxIn(sim::SimTime begin, sim::SimTime end) const {
-  double best = 0;
-  bool any = false;
-  for (const metrics::Sample& s : samples_) {
-    if (s.time < begin || s.time > end) continue;
-    if (!any || s.value > best) best = s.value;
-    any = true;
-  }
-  return any ? best : 0;
-}
-
-double RingSeries::QuantileIn(double q, sim::SimTime begin,
-                              sim::SimTime end) const {
-  std::vector<double> values;
-  for (const metrics::Sample& s : samples_) {
-    if (s.time >= begin && s.time <= end) values.push_back(s.value);
-  }
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  q = std::clamp(q, 0.0, 1.0);
-  size_t idx = static_cast<size_t>(q * static_cast<double>(values.size() - 1) +
-                                   0.5);
-  return values[idx];
-}
-
-double RingSeries::Last() const {
-  if (samples_.empty()) return 0;
-  if (!wrapped_) return samples_.back().value;
-  return samples_[(next_ + samples_.size() - 1) % samples_.size()].value;
-}
-
 // ---- TelemetryRegistry -----------------------------------------------------
 
 TelemetryRegistry::TelemetryRegistry(runtime::ExecutionGraph* graph)
-    : graph_(graph), latency_p50_(kRingCapacity), latency_p99_(kRingCapacity) {
+    : graph_(graph) {
   const size_t ops = graph->job().operators().size();
   op_names_.reserve(ops);
-  series_.reserve(ops);
+  series_.assign(ops, std::vector<metrics::TimeSeries>(kSeriesKindCount));
   prev_.resize(ops);
   capacity_.resize(ops);
   for (size_t op = 0; op < ops; ++op) {
     op_names_.push_back(graph->job().operators()[op].name);
-    std::vector<RingSeries> per_kind;
-    per_kind.reserve(kSeriesKindCount);
-    for (size_t k = 0; k < kSeriesKindCount; ++k) {
-      per_kind.emplace_back(kRingCapacity);
-    }
-    series_.push_back(std::move(per_kind));
   }
 }
 
@@ -173,7 +103,7 @@ void TelemetryRegistry::Sample(sim::SimTime t) {
       migration = static_cast<double>(strategy_->staging_bytes());
     }
 
-    std::vector<RingSeries>& s = series_[op];
+    std::vector<metrics::TimeSeries>& s = series_[op];
     s[static_cast<size_t>(SeriesKind::kInputRate)].Push(t, in_rate);
     s[static_cast<size_t>(SeriesKind::kOutputRate)].Push(t, out_rate);
     s[static_cast<size_t>(SeriesKind::kServiceRate)].Push(t, svc_rate);
@@ -228,66 +158,38 @@ void TelemetryRegistry::Sample(sim::SimTime t) {
   latency_p99_.Push(t, latency.Quantile(0.99));
 
   last_time_ = t;
-  ++sample_count_;
-}
-
-double TelemetryRegistry::RateIn(dataflow::OperatorId op, SeriesKind kind,
-                                 sim::SimTime begin, sim::SimTime end) const {
-  return series(op, kind).MeanIn(begin, end);
-}
-
-double TelemetryRegistry::QuantileIn(dataflow::OperatorId op, SeriesKind kind,
-                                     double q, sim::SimTime begin,
-                                     sim::SimTime end) const {
-  return series(op, kind).QuantileIn(q, begin, end);
 }
 
 Status TelemetryRegistry::WriteCsv(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open telemetry csv file: " + path);
-  }
-  std::fprintf(f, "time_us,op,operator,series,value\n");
-  // All series share the sampler grid, so emitting sample-index-major with a
-  // fixed (op, series) inner order yields rows sorted by time, then
-  // operator, then series ordinal.
-  std::vector<std::vector<std::vector<metrics::Sample>>> snaps(series_.size());
-  for (size_t op = 0; op < series_.size(); ++op) {
-    for (size_t k = 0; k < kSeriesKindCount; ++k) {
-      snaps[op].push_back(series_[op][k].Snapshot());
-    }
-  }
-  std::vector<metrics::Sample> p50 = latency_p50_.Snapshot();
-  std::vector<metrics::Sample> p99 = latency_p99_.Snapshot();
-  const size_t rows = p50.size();  // == every series' retained length
-  bool ok = true;
-  for (size_t i = 0; i < rows && ok; ++i) {
-    for (size_t op = 0; op < snaps.size() && ok; ++op) {
-      for (size_t k = 0; k < kSeriesKindCount && ok; ++k) {
-        if (i >= snaps[op][k].size()) continue;
-        const metrics::Sample& s = snaps[op][k][i];
-        ok = std::fprintf(f, "%lld,%zu,%s,%s,%.6g\n",
-                          static_cast<long long>(s.time), op,
-                          op_names_[op].c_str(),
-                          SeriesName(static_cast<SeriesKind>(k)),
-                          s.value) >= 0;
+  std::string out = "time_us,op,operator,series,value\n";
+  auto append_row = [&out](const metrics::Sample& s, std::string_view op,
+                           std::string_view name, std::string_view series) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%lld,", static_cast<long long>(s.time));
+    out += buf;
+    out += op;
+    out += ',';
+    out += name;
+    out += ',';
+    out += series;
+    std::snprintf(buf, sizeof(buf), ",%.6g\n", s.value);
+    out += buf;
+  };
+  // Every series holds one sample per tick on the shared sampler grid, so
+  // emitting sample-index-major with a fixed (op, series) inner order yields
+  // rows sorted by time, then operator, then series ordinal.
+  for (size_t i = 0; i < sample_count(); ++i) {
+    for (size_t op = 0; op < series_.size(); ++op) {
+      const std::string op_id = std::to_string(op);
+      for (size_t k = 0; k < kSeriesKindCount; ++k) {
+        append_row(series_[op][k].samples()[i], op_id, op_names_[op],
+                   SeriesName(static_cast<SeriesKind>(k)));
       }
     }
-    if (ok && i < p50.size()) {
-      ok = std::fprintf(f, "%lld,-1,job,latency_p50_ms,%.6g\n",
-                        static_cast<long long>(p50[i].time),
-                        p50[i].value) >= 0;
-    }
-    if (ok && i < p99.size()) {
-      ok = std::fprintf(f, "%lld,-1,job,latency_p99_ms,%.6g\n",
-                        static_cast<long long>(p99[i].time),
-                        p99[i].value) >= 0;
-    }
+    append_row(latency_p50_.samples()[i], "-1", "job", "latency_p50_ms");
+    append_row(latency_p99_.samples()[i], "-1", "job", "latency_p99_ms");
   }
-  if (std::fclose(f) != 0 || !ok) {
-    return Status::Internal("short write to telemetry csv file: " + path);
-  }
-  return Status::OK();
+  return WriteFile(path, out, "telemetry csv");
 }
 
 }  // namespace drrs::telemetry

@@ -37,41 +37,6 @@ inline constexpr size_t kSeriesKindCount = 7;
 
 const char* SeriesName(SeriesKind kind);
 
-/// \brief Fixed-capacity ring of (time, value) samples: the retention unit
-/// of the telemetry layer. Push evicts the oldest sample once full; windowed
-/// queries see whatever the ring still holds. Bounded memory is the point —
-/// an always-on sampler must not grow with run length.
-class RingSeries {
- public:
-  explicit RingSeries(size_t capacity) : capacity_(capacity ? capacity : 1) {}
-
-  void Push(sim::SimTime t, double v);
-
-  size_t size() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-  uint64_t total_pushed() const { return total_pushed_; }
-  size_t capacity() const { return capacity_; }
-
-  /// Samples oldest-first (materializes the ring in push order).
-  std::vector<metrics::Sample> Snapshot() const;
-
-  /// Mean of samples with time in [begin, end]; 0 when none retained.
-  double MeanIn(sim::SimTime begin, sim::SimTime end) const;
-  /// Max of samples with time in [begin, end]; 0 when none retained.
-  double MaxIn(sim::SimTime begin, sim::SimTime end) const;
-  /// p-quantile (0..1, nearest-rank over the sorted window); 0 when empty.
-  double QuantileIn(double q, sim::SimTime begin, sim::SimTime end) const;
-  /// Last pushed value (0 when empty) — the "current" reading.
-  double Last() const;
-
- private:
-  size_t capacity_;
-  std::vector<metrics::Sample> samples_;  ///< ring storage, wraps at capacity_
-  size_t next_ = 0;                       ///< insertion slot once wrapped
-  bool wrapped_ = false;
-  uint64_t total_pushed_ = 0;
-};
-
 /// \brief Online per-operator capacity estimate: the maximum sustainable
 /// service rate observed so far, EWMA-smoothed (the Daedalus-style profile a
 /// policy engine scales against).
@@ -92,9 +57,6 @@ struct CapacityEstimate {
 /// order of the run's simulator, so the sampled values are a pure function
 /// of the workload and seed.
 inline constexpr sim::SimTime kSamplePeriod = sim::Millis(500);
-/// Per-series retention (samples). 4096 at kSamplePeriod covers a ~34-minute
-/// window, far beyond any bench horizon.
-inline constexpr size_t kRingCapacity = 4096;
 /// EWMA smoothing factor for the capacity estimator.
 inline constexpr double kCapacityAlpha = 0.2;
 /// Minimum utilization for a sample to update the capacity estimate.
@@ -108,9 +70,8 @@ struct TelemetryOptions {
   std::string csv_path;
 };
 
-/// \brief Simulated-time telemetry sampler: ring-buffered per-operator
-/// series plus latency-quantile snapshots and online capacity estimates,
-/// with a windowed query API shaped for a future autoscaling policy engine.
+/// \brief Simulated-time telemetry sampler: per-operator series plus
+/// latency-quantile snapshots and online capacity estimates.
 ///
 /// Owned by the harness. RunExperiment drives Sample() on the deterministic
 /// cadence of kSamplePeriod through a sim::PeriodicProcess, like the
@@ -122,7 +83,9 @@ struct TelemetryOptions {
 /// delivered-element counts, task processed-record and busy-time counters)
 /// by differencing consecutive samples, so a sample costs O(instances +
 /// channels) reads and no per-record hook exists: telemetry OFF touches
-/// nothing on the data path.
+/// nothing on the data path. Every series is a metrics::TimeSeries holding
+/// the whole run, one sample per tick, like the hub's state-bytes and
+/// latency series.
 class TelemetryRegistry {
  public:
   explicit TelemetryRegistry(runtime::ExecutionGraph* graph);
@@ -145,36 +108,30 @@ class TelemetryRegistry {
   /// Take one sample of every operator at simulated time `t`.
   void Sample(sim::SimTime t);
 
-  // ---- windowed query API (the future policy engine's poll surface) ----
-
-  /// Mean of `kind` over samples in [begin, end] for `op`.
-  double RateIn(dataflow::OperatorId op, SeriesKind kind, sim::SimTime begin,
-                sim::SimTime end) const;
-  /// p-quantile (0..1) of `kind` over samples in [begin, end] for `op`.
-  double QuantileIn(dataflow::OperatorId op, SeriesKind kind, double q,
-                    sim::SimTime begin, sim::SimTime end) const;
   /// Current capacity estimate for `op` (zeros before any qualifying sample).
   const CapacityEstimate& Capacity(dataflow::OperatorId op) const {
     return capacity_[op];
   }
 
-  const RingSeries& series(dataflow::OperatorId op, SeriesKind kind) const {
+  const metrics::TimeSeries& series(dataflow::OperatorId op,
+                                    SeriesKind kind) const {
     return series_[op][static_cast<size_t>(kind)];
   }
   /// Job-level end-to-end latency quantile snapshots (ms), taken from the
   /// hub's LogHistogram at each sample. Cumulative-to-date
   /// quantiles, not per-window: the histogram has no decay.
-  const RingSeries& latency_p50_ms() const { return latency_p50_; }
-  const RingSeries& latency_p99_ms() const { return latency_p99_; }
+  const metrics::TimeSeries& latency_p50_ms() const { return latency_p50_; }
+  const metrics::TimeSeries& latency_p99_ms() const { return latency_p99_; }
 
-  uint64_t sample_count() const { return sample_count_; }
+  /// Samples taken so far: the length of every series.
+  uint64_t sample_count() const { return latency_p50_.size(); }
   sim::SimTime last_sample_time() const { return last_time_; }
   size_t operator_count() const { return series_.size(); }
   const std::string& operator_name(dataflow::OperatorId op) const {
     return op_names_[op];
   }
 
-  /// Write every retained sample as CSV (time_us,op,operator,series,value;
+  /// Write every sample as CSV (time_us,op,operator,series,value;
   /// rows ordered by time, then operator, then series ordinal — a pure
   /// function of the sampled values, so byte-identical across runs of the
   /// same seed).
@@ -195,14 +152,13 @@ class TelemetryRegistry {
   const scaling::ScalingStrategy* strategy_ = nullptr;
   dataflow::OperatorId scaled_op_ = 0;
 
-  std::vector<std::string> op_names_;                 // by OperatorId
-  std::vector<std::vector<RingSeries>> series_;       // [op][SeriesKind]
-  std::vector<OpCounters> prev_;                      // by OperatorId
-  std::vector<CapacityEstimate> capacity_;            // by OperatorId
-  RingSeries latency_p50_;
-  RingSeries latency_p99_;
+  std::vector<std::string> op_names_;                     // by OperatorId
+  std::vector<std::vector<metrics::TimeSeries>> series_;  // [op][SeriesKind]
+  std::vector<OpCounters> prev_;                          // by OperatorId
+  std::vector<CapacityEstimate> capacity_;                // by OperatorId
+  metrics::TimeSeries latency_p50_;
+  metrics::TimeSeries latency_p99_;
   sim::SimTime last_time_ = 0;
-  uint64_t sample_count_ = 0;
 };
 
 }  // namespace drrs::telemetry

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/export.h"
 #include "sim/simulator.h"
 
 namespace drrs::trace {
@@ -38,49 +39,6 @@ const char* StallReasonName(metrics::StallReason reason) {
       return "stall.throttled";
   }
   return "stall.unknown";
-}
-
-/// Append `s` to `out` as a JSON string literal. Inputs are engine-internal
-/// names (no exotic code points), so escaping covers quotes, backslash, and
-/// control characters only.
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendHistogram(std::string* out, const metrics::LogHistogram& hist) {
-  metrics::LogHistogram::Summary s = hist.Summarize();
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"count\":%" PRIu64
-                ",\"mean\":%.6g,\"p50\":%.6g,\"p90\":%.6g,\"p99\":%.6g,"
-                "\"p999\":%.6g,\"max\":%.6g}",
-                s.count, s.mean, s.p50, s.p90, s.p99, s.p999, s.max);
-  *out += buf;
 }
 
 }  // namespace
@@ -694,7 +652,7 @@ void Tracer::WriteEvents(std::string* out,
     *out += "}";
   }
   *out += "],\"drrsHistograms\":{\"chunk_flight_ms\":";
-  AppendHistogram(out, chunk_hist_);
+  chunk_hist_.AppendJson(out);
   *out += ",\"stall_ms_by_operator\":{";
   bool first_op = true;
   for (const auto& [op, hist] : stall_hist_) {
@@ -703,7 +661,7 @@ void Tracer::WriteEvents(std::string* out,
     char key[32];
     std::snprintf(key, sizeof(key), "\"%u\":", op);
     *out += key;
-    AppendHistogram(out, hist);
+    hist.AppendJson(out);
   }
   *out += "}}";
   if (!reason.empty()) {
@@ -718,21 +676,6 @@ void Tracer::WriteEvents(std::string* out,
   *out += tail;
 }
 
-namespace {
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open trace output file: " + path);
-  }
-  size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  int close_err = std::fclose(f);
-  if (written != content.size() || close_err != 0) {
-    return Status::Internal("short write to trace output file: " + path);
-  }
-  return Status::OK();
-}
-}  // namespace
-
 Status Tracer::ExportJson(const std::string& path) const {
   if (options_.ring_only) {
     return Status::FailedPrecondition(
@@ -741,7 +684,7 @@ Status Tracer::ExportJson(const std::string& path) const {
   std::string out;
   out.reserve(events_.size() * 128 + 1024);
   WriteEvents(&out, events_, /*reason=*/"");
-  return WriteFile(path, out);
+  return WriteFile(path, out, "trace output");
 }
 
 void Tracer::DumpFlightRecorder(const std::string& reason) {
@@ -752,7 +695,7 @@ void Tracer::DumpFlightRecorder(const std::string& reason) {
   out.reserve(snapshot.size() * 128 + 1024);
   WriteEvents(&out, snapshot, reason);
   // Best-effort: a failed dump must not mask the violation being reported.
-  Status st = WriteFile(options_.flight_dump_path, out);
+  Status st = WriteFile(options_.flight_dump_path, out, "trace output");
   if (!st.ok()) {
     std::fprintf(stderr, "[trace] flight-recorder dump failed: %s\n",
                  st.ToString().c_str());

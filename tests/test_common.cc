@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/export.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -186,6 +190,31 @@ TEST(Hash, BalancedOver128Groups) {
   auto [mn, mx] = std::minmax_element(counts.begin(), counts.end());
   EXPECT_GT(*mn, 800);
   EXPECT_LT(*mx, 1200);
+}
+
+// ---------------------------------------------------------------------------
+// Export helpers: JSON string escaping and file writes
+// ---------------------------------------------------------------------------
+
+TEST(AppendJsonString, EscapesQuotesBackslashAndControlCharacters) {
+  std::string out;
+  // "\x01" "f": a hex escape would swallow the f.
+  AppendJsonString(&out, std::string("a\"b\\c\nd\te\x01" "f"));
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
+}
+
+TEST(WriteFile, WritesContentAndReportsUnwritablePaths) {
+  const std::string path = ::testing::TempDir() + "export_write.txt";
+  ASSERT_TRUE(WriteFile(path, "line 1\nline 2\n", "test").ok());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), "line 1\nline 2\n");
+
+  Status st = WriteFile("/nonexistent-dir/x.txt", "x", "test");
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("cannot open test file: /nonexistent-dir/x.txt"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Determinism golden test plus unit coverage for the event-engine pieces:
-// RingBuffer, EventCallback (SBO + heap fallback), channel output-cache
-// extraction, and the incremental state accounting.
+// EventCallback (SBO + heap fallback), channel output-cache extraction, and
+// the incremental state accounting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/ring_buffer.h"
 #include "harness/experiment.h"
 #include "net/channel.h"
 #include "sim/event_callback.h"
@@ -200,61 +199,6 @@ TEST(Determinism, EngineHotPathNeverHeapAllocatesCallbacks) {
   EXPECT_GT(r.executed_events, 0u);
   EXPECT_EQ(before, after)
       << "a steady-state scheduling site outgrew EventCallback::kInlineBytes";
-}
-
-// ---------------------------------------------------------------------------
-// RingBuffer
-// ---------------------------------------------------------------------------
-
-TEST(RingBuffer, FifoAcrossGrowthAndWrap) {
-  RingBuffer<int> rb;
-  EXPECT_TRUE(rb.empty());
-  // Interleave pushes and pops so head_ walks around the buffer while it
-  // grows through several capacities.
-  int next_push = 0;
-  int next_pop = 0;
-  for (int round = 0; round < 200; ++round) {
-    for (int i = 0; i < 7; ++i) rb.push_back(next_push++);
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_EQ(rb.front(), next_pop);
-      rb.pop_front();
-      ++next_pop;
-    }
-  }
-  EXPECT_EQ(rb.size(), static_cast<size_t>(next_push - next_pop));
-  // at(i) indexes from the front.
-  for (size_t i = 0; i < rb.size(); ++i) {
-    EXPECT_EQ(rb.at(i), next_pop + static_cast<int>(i));
-  }
-  while (!rb.empty()) {
-    ASSERT_EQ(rb.front(), next_pop++);
-    rb.pop_front();
-  }
-  EXPECT_EQ(next_pop, next_push);
-}
-
-TEST(RingBuffer, SteadyStateDoesNotGrow) {
-  RingBuffer<int> rb;
-  for (int i = 0; i < 8; ++i) rb.push_back(i);
-  size_t cap = rb.capacity();
-  for (int i = 0; i < 10000; ++i) {
-    rb.push_back(i);
-    rb.pop_front();
-  }
-  EXPECT_EQ(rb.capacity(), cap);
-}
-
-TEST(RingBuffer, ClearReleasesPayloads) {
-  RingBuffer<std::shared_ptr<int>> rb;
-  auto p = std::make_shared<int>(7);
-  rb.push_back(p);
-  rb.push_back(p);
-  EXPECT_EQ(p.use_count(), 3);
-  rb.pop_front();
-  EXPECT_EQ(p.use_count(), 2);  // pop releases eagerly
-  rb.clear();
-  EXPECT_EQ(p.use_count(), 1);
-  EXPECT_TRUE(rb.empty());
 }
 
 // ---------------------------------------------------------------------------

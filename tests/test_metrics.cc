@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "metrics/histogram.h"
 #include "metrics/metrics_hub.h"
 #include "metrics/timeseries.h"
@@ -27,15 +29,6 @@ TEST(TimeSeries, BoundsAreInclusive) {
   TimeSeries ts;
   ts.Push(10, 2.0);
   EXPECT_DOUBLE_EQ(ts.MaxIn(10, 10), 2.0);
-}
-
-TEST(TimeSeries, Quantiles) {
-  TimeSeries ts;
-  for (int i = 1; i <= 100; ++i) ts.Push(i, i);
-  EXPECT_NEAR(ts.QuantileIn(0.5, 0, 1000), 50.5, 0.6);
-  EXPECT_NEAR(ts.QuantileIn(0.99, 0, 1000), 99.0, 1.1);
-  EXPECT_DOUBLE_EQ(ts.QuantileIn(0.0, 0, 1000), 1.0);
-  EXPECT_DOUBLE_EQ(ts.QuantileIn(1.0, 0, 1000), 100.0);
 }
 
 TEST(TimeSeries, BucketedMean) {
@@ -78,34 +71,6 @@ TEST(TimeSeries, MeanAbsDeviation) {
   EXPECT_DOUBLE_EQ(ts.MeanAbsDeviationIn(10.0, 0, 100), 5.0 / 3.0);
   EXPECT_DOUBLE_EQ(ts.MeanAbsDeviationIn(10.0, 25, 100), 0.0);
   EXPECT_DOUBLE_EQ(ts.MeanAbsDeviationIn(10.0, 40, 100), 0.0);  // empty
-}
-
-TEST(TimeSeries, WindowsPartitionTheRange) {
-  TimeSeries ts;
-  ts.Push(0, 1.0);
-  ts.Push(40, 3.0);
-  ts.Push(100, 5.0);
-  ts.Push(260, 7.0);  // window [200,300) — window [100,200) has one sample
-  auto windows = ts.Windows(0, 1000, 100);
-  ASSERT_EQ(windows.size(), 3u);
-  EXPECT_EQ(windows[0].start, 0);
-  EXPECT_EQ(windows[0].stats.count, 2u);
-  EXPECT_DOUBLE_EQ(windows[0].stats.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(windows[0].stats.max, 3.0);
-  EXPECT_EQ(windows[1].start, 100);
-  EXPECT_EQ(windows[1].stats.count, 1u);
-  EXPECT_EQ(windows[2].start, 200);
-  EXPECT_DOUBLE_EQ(windows[2].stats.min, 7.0);
-}
-
-TEST(TimeSeries, WindowsAlignToBegin) {
-  TimeSeries ts;
-  ts.Push(150, 2.0);
-  auto windows = ts.Windows(50, 1000, 100);  // windows anchored at 50
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].start, 150);  // [150, 250)
-  EXPECT_TRUE(ts.Windows(0, 1000, 0).empty());     // degenerate width
-  EXPECT_TRUE(ts.Windows(1000, 0, 100).empty());   // inverted range
 }
 
 TEST(TimeSeries, BucketedMax) {
@@ -279,6 +244,21 @@ TEST(LogHistogram, QuantilesClampToObservedRange) {
   EXPECT_DOUBLE_EQ(h.Quantile(0.0), 42.0);
   EXPECT_DOUBLE_EQ(h.Quantile(0.5), 42.0);
   EXPECT_DOUBLE_EQ(h.Quantile(1.0), 42.0);
+}
+
+TEST(LogHistogram, AppendJsonText) {
+  LogHistogram h;
+  std::string empty;
+  h.AppendJson(&empty);
+  EXPECT_EQ(empty,
+            "{\"count\":0,\"mean\":0,\"p50\":0,\"p90\":0,\"p99\":0,"
+            "\"p999\":0,\"max\":0}");
+  h.Record(7.25);
+  std::string one = "x:";
+  h.AppendJson(&one);
+  EXPECT_EQ(one,
+            "x:{\"count\":1,\"mean\":7.25,\"p50\":7.25,\"p90\":7.25,"
+            "\"p99\":7.25,\"p999\":7.25,\"max\":7.25}");
 }
 
 TEST(LogHistogram, HandlesExtremesWithoutOverflow) {

@@ -1,17 +1,19 @@
 // Telemetry layer: LogHistogram quantile edge cases (the sampler's latency
-// snapshots lean on them), RingSeries retention and windowed queries, the
-// capacity estimator, and determinism — every sampled value, including the
-// CSV export, is byte-identical across runs of the same seed.
+// snapshots lean on them), the sampler cadence and capacity estimator, and
+// the exports — every sampled value, the CSV and the JSON summary are
+// byte-identical across runs of the same seed and to the committed goldens.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "harness/experiment.h"
+#include "harness/json_summary.h"
 #include "metrics/histogram.h"
 #include "telemetry/telemetry.h"
+#include "trace/tracer.h"
 #include "workloads/workloads.h"
 
 namespace drrs {
@@ -55,34 +57,6 @@ TEST(LogHistogramQuantiles, SubResolutionValuesShareBucketZero) {
 }
 
 // ---------------------------------------------------------------------------
-// RingSeries retention + windowed queries
-// ---------------------------------------------------------------------------
-
-TEST(RingSeries, EvictsOldestOnceFull) {
-  telemetry::RingSeries s(3);
-  for (int i = 0; i < 5; ++i) s.Push(sim::Seconds(i), i);
-  EXPECT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.total_pushed(), 5u);
-  auto snap = s.Snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].time, sim::Seconds(2));  // 0 and 1 evicted
-  EXPECT_EQ(snap[2].time, sim::Seconds(4));
-  EXPECT_EQ(s.Last(), 4.0);
-}
-
-TEST(RingSeries, WindowedQueriesSeeOnlyTheWindow) {
-  telemetry::RingSeries s(16);
-  for (int i = 0; i < 10; ++i) s.Push(sim::Seconds(i), i);
-  EXPECT_EQ(s.MeanIn(sim::Seconds(2), sim::Seconds(4)), 3.0);
-  EXPECT_EQ(s.MaxIn(sim::Seconds(2), sim::Seconds(4)), 4.0);
-  EXPECT_EQ(s.QuantileIn(0.0, sim::Seconds(2), sim::Seconds(4)), 2.0);
-  EXPECT_EQ(s.QuantileIn(1.0, sim::Seconds(2), sim::Seconds(4)), 4.0);
-  // An empty window (nothing retained in range) reads as 0.
-  EXPECT_EQ(s.MeanIn(sim::Seconds(100), sim::Seconds(200)), 0.0);
-  EXPECT_EQ(s.QuantileIn(0.5, sim::Seconds(100), sim::Seconds(200)), 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // Sampler end-to-end (single-partition): cadence, rates, capacity estimator
 // ---------------------------------------------------------------------------
 
@@ -118,16 +92,20 @@ TEST(TelemetrySampler, SamplesOnTheConfiguredCadence) {
   // The aggregator saw real traffic: service rate near the offered rate.
   dataflow::OperatorId agg = 1;
   EXPECT_EQ(t.operator_name(agg).substr(0, 3), "agg");
-  double svc = t.RateIn(agg, telemetry::SeriesKind::kServiceRate, 0,
-                        sim::kSimTimeMax);
+  double svc = t.series(agg, telemetry::SeriesKind::kServiceRate)
+                   .MeanIn(0, sim::kSimTimeMax);
   EXPECT_GT(svc, 2000.0);
   EXPECT_LT(svc, 4000.0);
-  double util = t.RateIn(agg, telemetry::SeriesKind::kUtilization, 0,
-                         sim::kSimTimeMax);
+  double util = t.series(agg, telemetry::SeriesKind::kUtilization)
+                    .MeanIn(0, sim::kSimTimeMax);
   EXPECT_GT(util, 0.5);
   EXPECT_LE(util, 1.05);
-  EXPECT_FALSE(t.latency_p99_ms().empty());
-  EXPECT_GE(t.latency_p99_ms().Last(), t.latency_p50_ms().Last());
+  // Every series holds exactly one sample per tick.
+  EXPECT_EQ(t.latency_p99_ms().size(), t.sample_count());
+  EXPECT_EQ(t.series(agg, telemetry::SeriesKind::kBacklog).size(),
+            t.sample_count());
+  EXPECT_GE(t.latency_p99_ms().samples().back().value,
+            t.latency_p50_ms().samples().back().value);
 }
 
 TEST(TelemetrySampler, CapacityEstimatorTracksBusyOperator) {
@@ -151,10 +129,12 @@ TEST(TelemetrySampler, DisabledLeavesResultEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: telemetry (including the CSV artifact) is byte-identical across
-// two runs of the same seed, through a DRRS rescale. Runs under whatever
-// DRRS_OBSERVE setting this binary was compiled with — CI exercises both the
-// OFF (default) and ON (audit and tracing jobs) configurations.
+// Determinism and goldens: telemetry (including the CSV artifact) is
+// byte-identical across two runs of the same seed, through a DRRS rescale,
+// and the CSV and JSON summary of that run match the committed goldens. Runs
+// under whatever DRRS_OBSERVE setting this binary was compiled with — CI
+// exercises both the OFF (default) and ON (audit and tracing jobs)
+// configurations.
 // ---------------------------------------------------------------------------
 
 std::string ReadFile(const std::string& path) {
@@ -164,19 +144,20 @@ std::string ReadFile(const std::string& path) {
   return out.str();
 }
 
+harness::ExperimentResult RescaleRun(const std::string& csv) {
+  harness::ExperimentConfig c = TelemetryConfig();
+  c.system = harness::SystemKind::kDrrs;
+  c.target_parallelism = 4;
+  c.scale_at = sim::Seconds(4);
+  c.restab_hold = sim::Seconds(3);
+  c.telemetry.csv_path = csv;
+  return harness::RunExperiment(BusyCustom(), c);
+}
+
 TEST(TelemetryDeterminism, CsvIsByteIdenticalAcrossSameSeedRuns) {
-  auto run = [](const std::string& csv) {
-    harness::ExperimentConfig c = TelemetryConfig();
-    c.system = harness::SystemKind::kDrrs;
-    c.target_parallelism = 4;
-    c.scale_at = sim::Seconds(4);
-    c.restab_hold = sim::Seconds(3);
-    c.telemetry.csv_path = csv;
-    return harness::RunExperiment(BusyCustom(), c);
-  };
   const std::string dir = ::testing::TempDir();
-  auto a = run(dir + "telemetry_a.csv");
-  auto b = run(dir + "telemetry_b.csv");
+  auto a = RescaleRun(dir + "telemetry_a.csv");
+  auto b = RescaleRun(dir + "telemetry_b.csv");
 
   ASSERT_NE(a.telemetry, nullptr);
   ASSERT_NE(b.telemetry, nullptr);
@@ -191,8 +172,8 @@ TEST(TelemetryDeterminism, CsvIsByteIdenticalAcrossSameSeedRuns) {
   for (dataflow::OperatorId op = 0; op < a.telemetry->operator_count(); ++op) {
     for (size_t k = 0; k < telemetry::kSeriesKindCount; ++k) {
       auto kind = static_cast<telemetry::SeriesKind>(k);
-      auto sa = a.telemetry->series(op, kind).Snapshot();
-      auto sb = b.telemetry->series(op, kind).Snapshot();
+      const auto& sa = a.telemetry->series(op, kind).samples();
+      const auto& sb = b.telemetry->series(op, kind).samples();
       ASSERT_EQ(sa.size(), sb.size()) << "op " << op << " kind " << k;
       for (size_t i = 0; i < sa.size(); ++i) {
         ASSERT_EQ(sa[i].time, sb[i].time) << "op " << op << " kind " << k;
@@ -200,6 +181,44 @@ TEST(TelemetryDeterminism, CsvIsByteIdenticalAcrossSameSeedRuns) {
       }
     }
   }
+}
+
+/// Empty the summary's "audit" and "trace" blocks: observe builds fill them,
+/// and every other byte must match the default build's text.
+std::string BlankObserverBlocks(std::string json) {
+  for (const char* key : {"\"audit\":{", "\"trace\":{"}) {
+    size_t open = json.find(key);
+    if (open == std::string::npos) continue;
+    open += std::strlen(key);
+    json.erase(open, json.find('}', open) - open);
+  }
+  return json;
+}
+
+TEST(TelemetryGolden, CsvAndSummaryMatchGoldens) {
+  const std::string csv = ::testing::TempDir() + "telemetry_golden.csv";
+  auto r = RescaleRun(csv);
+  ASSERT_NE(r.telemetry, nullptr);
+  const std::string golden = DRRS_GOLDEN_DIR "/telemetry_busy_custom_drrs";
+  const std::string want_csv = ReadFile(golden + ".csv");
+  ASSERT_FALSE(want_csv.empty()) << "missing " << golden << ".csv";
+  EXPECT_EQ(ReadFile(csv), want_csv);
+  const std::string want_json = ReadFile(golden + ".summary.json");
+  ASSERT_FALSE(want_json.empty()) << "missing " << golden << ".summary.json";
+  EXPECT_EQ(BlankObserverBlocks(harness::JsonSummary(r)),
+            BlankObserverBlocks(want_json));
+}
+
+TEST(TelemetryExport, UnwritablePathsFailForEveryWriter) {
+  auto r = harness::RunExperiment(BusyCustom(), TelemetryConfig());
+  ASSERT_NE(r.telemetry, nullptr);
+  const std::string bad = "/nonexistent-dir/x";
+  EXPECT_FALSE(r.telemetry->WriteCsv(bad + ".csv").ok());
+  EXPECT_FALSE(harness::WriteJsonSummary(r, bad + ".json").ok());
+  trace::Tracer::Options opt;
+  opt.flight_dump_path.clear();
+  trace::Tracer tracer(opt);
+  EXPECT_FALSE(tracer.ExportJson(bad + ".trace.json").ok());
 }
 
 }  // namespace

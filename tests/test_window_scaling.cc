@@ -42,7 +42,7 @@ struct WindowRun {
   metrics::InvariantMonitor invariants;
 };
 
-WindowRun RunWindows(SystemKind kind, int query, uint64_t seed) {
+WindowRun RunWindowJob(SystemKind kind, int query, uint64_t seed) {
   workloads::NexmarkParams p;
   p.query = query;
   p.events_per_second = 1200;
@@ -106,8 +106,8 @@ class WindowScaling : public ::testing::TestWithParam<WindowCase> {};
 
 TEST_P(WindowScaling, PanesMatchNoScaleRun) {
   const WindowCase& c = GetParam();
-  WindowRun scaled = RunWindows(c.kind, c.query, c.seed);
-  WindowRun reference = RunWindows(SystemKind::kNoScale, c.query, c.seed);
+  WindowRun scaled = RunWindowJob(c.kind, c.query, c.seed);
+  WindowRun reference = RunWindowJob(SystemKind::kNoScale, c.query, c.seed);
 
   ASSERT_EQ(scaled.source_records, reference.source_records);
   EXPECT_EQ(scaled.double_fires, 0u);
