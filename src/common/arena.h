@@ -34,10 +34,10 @@ namespace drrs {
 /// \brief Bump-pointer arena with epoch reset and power-of-two block
 /// recycling.
 ///
-/// The data-plane allocator: channel queue storage, wire batch buffers,
-/// event-callback boxes and state-transfer scratch all draw from an arena
-/// instead of the global heap, so the steady-state record path performs no
-/// malloc/free at all. Two allocation styles:
+/// The data-plane allocator: channel queue storage, wire batch buffers and
+/// event-callback boxes all draw from an arena instead of the global heap,
+/// so the steady-state record path performs no malloc/free at all. Two
+/// allocation styles:
 ///
 ///  * `Allocate(bytes)` — plain bump allocation, reclaimed only by `Reset()`.
 ///  * `AllocateBlock(bytes)` / `FreeBlock(...)` — power-of-two size-class
@@ -190,7 +190,7 @@ class Arena {
 };
 
 /// \brief Typed freelist over an Arena: O(1) allocation-free New/Delete for
-/// fixed-size objects (event-callback boxes, transfer scratch).
+/// fixed-size objects (event-callback boxes).
 ///
 /// Freed slots are ASan-poisoned (minus the freelist link) until reuse;
 /// Arena::Reset() invalidates every outstanding object, so pools must be

@@ -54,11 +54,6 @@ uint64_t StateTransfer::Enqueue(runtime::Task* from, net::Channel* rail,
   transit.chunk = chunk;
   transit.rail = rail;
   transit.to = rail->receiver_id();
-  // Stage the serialized chunk in an arena block rather than heap memory:
-  // the block returns to its size-class freelist on install/abort, so the
-  // next chunk of comparable size (and any retransmission of this one)
-  // reuses it. staging_bytes_ tracks the sender-side migration footprint.
-  transit.wire_buffer = sim_->arena()->AllocateBlock(bytes);
   staging_bytes_ += bytes;
   DRRS_OBSERVE(sim_, OnChunkEnqueued(chunk, from->id(), rail->receiver_id()));
   if (priority) {
@@ -70,13 +65,6 @@ uint64_t StateTransfer::Enqueue(runtime::Task* from, net::Channel* rail,
   // schedule (bit-identical traces to pre-fault builds).
   if (policy_.enabled) ArmAckTimer(id);
   return bytes;
-}
-
-void StateTransfer::ReleaseWireBuffer(Transit* transit) {
-  if (transit->wire_buffer == nullptr) return;
-  sim_->arena()->FreeBlock(transit->wire_buffer, transit->chunk.chunk_bytes);
-  transit->wire_buffer = nullptr;
-  staging_bytes_ -= transit->chunk.chunk_bytes;
 }
 
 void StateTransfer::EnableReliability(const ChunkRetryPolicy& policy,
@@ -161,6 +149,16 @@ uint64_t StateTransfer::SendSubKeyGroup(runtime::Task* from,
                  false, proto, priority);
 }
 
+void StateTransfer::InstallCells(runtime::Task* to, Transit* transit) {
+  DRRS_CHECK(to->state() != nullptr);
+  transit->state.key_group = transit->chunk.key_group;
+  if (transit->whole_group) {
+    to->state()->InstallKeyGroup(std::move(transit->state));
+  } else {
+    to->state()->MergeCells(std::move(transit->state));
+  }
+}
+
 bool StateTransfer::Install(runtime::Task* to, const StreamElement& chunk) {
   DRRS_CHECK(chunk.kind == ElementKind::kStateChunk);
   auto it = in_transit_.find(chunk.seq);
@@ -194,19 +192,8 @@ bool StateTransfer::Install(runtime::Task* to, const StreamElement& chunk) {
   // the merge below completes — past the lexical pairing window, but still
   // in this function, and only on the success path this erase commits to.
   in_transit_.erase(it);
-  ReleaseWireBuffer(&transit);
-  DRRS_CHECK(to->state() != nullptr);
-  transit.state.key_group = chunk.key_group;
-  if (transit.whole_group) {
-    to->state()->InstallKeyGroup(std::move(transit.state));
-  } else {
-    // Merge cells only; the caller manages (sub-)ownership. Each key lands
-    // in its own cell, so the merge commutes.
-    // NOLINTNEXTLINE(drrs-unordered-iteration): commutative per-key merge.
-    for (auto& [key, cell] : transit.state.cells) {
-      *to->state()->GetOrCreate(chunk.key_group, key) = std::move(cell);
-    }
-  }
+  staging_bytes_ -= transit.chunk.chunk_bytes;
+  InstallCells(to, &transit);
   if (policy_.enabled) installed_.insert(chunk.seq);
   DRRS_OBSERVE(to->simulator(), OnChunkInstalled(chunk, to->id()));
   return true;
@@ -226,19 +213,10 @@ size_t StateTransfer::ForceComplete(dataflow::ScaleId scale,
     // NOLINTNEXTLINE(drrs-audit-hook-coverage): OnChunkForceInstalled fires
     // at the end of this loop body, after the forced install lands.
     it = in_transit_.erase(it);
-    ReleaseWireBuffer(&transit);
+    staging_bytes_ -= transit.chunk.chunk_bytes;
     runtime::Task* to = graph->task(transit.to);
-    DRRS_CHECK(to != nullptr && to->state() != nullptr);
-    transit.state.key_group = transit.chunk.key_group;
-    if (transit.whole_group) {
-      to->state()->InstallKeyGroup(std::move(transit.state));
-    } else {
-      // NOLINTNEXTLINE(drrs-unordered-iteration): commutative per-key merge.
-      for (auto& [key, cell] : transit.state.cells) {
-        *to->state()->GetOrCreate(transit.chunk.key_group, key) =
-            std::move(cell);
-      }
-    }
+    DRRS_CHECK(to != nullptr);
+    InstallCells(to, &transit);
     // The chunk element (original or retransmitted copy) may still float on
     // the wire; remember the id so arrival drops it instead of double-
     // installing.
@@ -257,7 +235,7 @@ void StateTransfer::AbortScale(dataflow::ScaleId scale) {
       // An in-flight entry implies Enqueue ran, so sim_ is set.
       DRRS_OBSERVE(sim_, OnChunkAborted(it->first));
       aborted_.insert(it->first);
-      ReleaseWireBuffer(&it->second);
+      staging_bytes_ -= it->second.chunk.chunk_bytes;
       it = in_transit_.erase(it);
     } else {
       ++it;

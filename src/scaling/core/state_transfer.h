@@ -98,10 +98,9 @@ class StateTransfer {
   /// the transfer stage finished).
   uint64_t enqueued_count(dataflow::ScaleId scale) const;
 
-  /// Chunk staging-buffer footprint: bytes of arena blocks held by chunks
-  /// currently on the wire. The buffers come from the simulator's data-plane
-  /// arena, so consecutive transfers — and every retransmission — recycle the
-  /// same blocks instead of hitting the heap.
+  /// Sender-side migration footprint: modeled bytes of the chunks currently
+  /// in transit. The bytes are counted, never allocated (state sizes are
+  /// virtual); the telemetry `migration_bytes` series samples this.
   uint64_t staging_bytes() const { return staging_bytes_; }
 
  private:
@@ -117,18 +116,16 @@ class StateTransfer {
     bool whole_group = false;
     dataflow::ScaleId scale = 0;
     /// Retransmission context (only populated fields cost anything; the
-    /// element copy enables byte-identical re-sends).
+    /// element copy enables byte-identical re-sends). `chunk.chunk_bytes` is
+    /// the entry's share of staging_bytes_ until it leaves the registry.
     dataflow::StreamElement chunk;
     net::Channel* rail = nullptr;
     dataflow::InstanceId to = 0;
     uint32_t attempts = 0;
-    /// Sender-side serialization staging block (arena AllocateBlock of
-    /// chunk_bytes). Lives until install/abort/force-complete; a
-    /// retransmission re-sends from the same block.
-    void* wire_buffer = nullptr;
   };
-  /// Free `transit`'s staging block back to the arena's size-class pool.
-  void ReleaseWireBuffer(Transit* transit);
+  /// Install `transit`'s cells at `to`: whole-key-group chunks acquire
+  /// ownership, sub-key-group chunks merge cells only.
+  static void InstallCells(runtime::Task* to, Transit* transit);
   /// Ordered map: AbortScale and the per-scale count iterate it, and a
   /// decision path must not depend on hash-bucket order.
   std::map<uint64_t, Transit> in_transit_;

@@ -195,6 +195,12 @@ KeyGroupState KeyedStateBackend::ExtractSubKeyGroup(dataflow::KeyGroupId kg,
 }
 
 void KeyedStateBackend::InstallKeyGroup(KeyGroupState state) {
+  dataflow::KeyGroupId kg = state.key_group;
+  MergeCells(std::move(state));
+  owned_.insert(kg);
+}
+
+void KeyedStateBackend::MergeCells(KeyGroupState state) {
   DRRS_CHECK(state.key_group < num_key_groups_);
   FlushAccounting();
   GroupStore& g = groups_[state.key_group];
@@ -213,7 +219,6 @@ void KeyedStateBackend::InstallKeyGroup(KeyGroupState state) {
     dst->journaled = was_journaled;
     bytes += dst->nominal_bytes;
   }
-  owned_.insert(state.key_group);
 }
 
 uint64_t KeyedStateBackend::KeyGroupBytes(dataflow::KeyGroupId kg) const {

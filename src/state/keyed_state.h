@@ -184,9 +184,13 @@ class KeyedStateBackend {
   KeyGroupState ExtractSubKeyGroup(dataflow::KeyGroupId kg, uint32_t sub,
                                    uint32_t fanout);
 
-  /// Merge a migrated key-group (or sub-key-group) into this backend and mark
-  /// it owned.
+  /// Merge a migrated key-group into this backend and mark it owned.
   void InstallKeyGroup(KeyGroupState state);
+
+  /// Merge migrated cells (e.g. a sub-key-group) without touching ownership.
+  /// Incoming cells replace same-key cells; the receiver keeps its own
+  /// accounting fields, so the per-group byte counter stays exact.
+  void MergeCells(KeyGroupState state);
 
   /// Visit every key currently stored in `kg` (slot order: insertion order
   /// until keys are erased). The callback must not mutate the backend's key

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "scaling/strategy.h"
 #include "sim/simulator.h"
 #include "workloads/workloads.h"
@@ -123,6 +125,9 @@ TEST(StateTransferTest, SubKeyGroupTransferKeepsOwnershipManual) {
   Rig rig;
   runtime::Task* a = rig.graph->instance(rig.workload.scaled_op, 0);
   runtime::Task* b = rig.graph->instance(rig.workload.scaled_op, 1);
+  // Every byte-counter read re-derives the counters and aborts on drift.
+  a->state()->set_debug_recount(true);
+  b->state()->set_debug_recount(true);
   dataflow::KeyGroupId kg = *a->state()->owned_key_groups().begin();
   for (uint64_t k = 0; k < 40; ++k) a->state()->GetOrCreate(kg, k)->counter = 1;
 
@@ -139,6 +144,76 @@ TEST(StateTransferTest, SubKeyGroupTransferKeepsOwnershipManual) {
   // Cells split between the two backends, nothing lost.
   EXPECT_EQ(a->state()->KeyCount(kg) + b->state()->KeyCount(kg), 40u);
   EXPECT_GT(b->state()->KeyCount(kg), 0u);
+  EXPECT_EQ(a->state()->KeyGroupBytes(kg) + b->state()->KeyGroupBytes(kg),
+            40u * 64);
+
+  // Merge into keys the receiver already holds: the incoming cells replace
+  // the receiver's, and the receiver's byte counter follows them.
+  std::vector<dataflow::KeyT> moved;
+  b->state()->ForEachKey(kg, [&](dataflow::KeyT k) { moved.push_back(k); });
+  for (dataflow::KeyT k : moved) {
+    a->state()->GetOrCreate(kg, k)->nominal_bytes = 1000;
+  }
+  transfer.SendSubKeyGroup(a, rail, kg, 0, 4, 1, 0);
+  rig.sim.RunUntilIdle();
+  EXPECT_TRUE(transfer.Install(b, rail->PopInput()));
+  EXPECT_EQ(b->state()->KeyCount(kg), moved.size());
+  EXPECT_EQ(b->state()->KeyGroupBytes(kg), moved.size() * 1000);
+  EXPECT_EQ(a->state()->KeyGroupBytes(kg), (40u - moved.size()) * 64);
+}
+
+TEST(StateTransferTest, ModeledChunkBytesAreNotAllocated) {
+  Rig rig;
+  runtime::Task* a = rig.graph->instance(rig.workload.scaled_op, 0);
+  runtime::Task* b = rig.graph->instance(rig.workload.scaled_op, 1);
+  dataflow::KeyGroupId kg = *a->state()->owned_key_groups().begin();
+  constexpr uint64_t kModeled = uint64_t{64} << 20;
+  a->state()->GetOrCreate(kg, 7)->nominal_bytes = kModeled;
+
+  StateTransfer transfer;
+  b->Freeze();
+  net::Channel* rail = rig.graph->GetOrCreateScalingChannel(a, b);
+  size_t reserved_before = rig.sim.arena()->bytes_reserved();
+  uint64_t bytes = transfer.SendKeyGroup(a, rail, kg, 1, 0);
+  EXPECT_GE(bytes, kModeled);
+  EXPECT_EQ(transfer.staging_bytes(), bytes);
+  rig.sim.RunUntilIdle();
+  EXPECT_TRUE(transfer.Install(b, rail->PopInput()));
+  EXPECT_EQ(b->state()->Get(kg, 7)->nominal_bytes, kModeled);
+  EXPECT_LT(rig.sim.arena()->bytes_reserved() - reserved_before,
+            size_t{1} << 20);
+}
+
+TEST(StateTransferTest, StagingBytesDrainOnInstallAbortAndForceComplete) {
+  Rig rig;
+  runtime::Task* a = rig.graph->instance(rig.workload.scaled_op, 0);
+  runtime::Task* b = rig.graph->instance(rig.workload.scaled_op, 1);
+  auto it = a->state()->owned_key_groups().begin();
+  dataflow::KeyGroupId kg1 = *it++;
+  dataflow::KeyGroupId kg2 = *it++;
+  dataflow::KeyGroupId kg3 = *it;
+
+  StateTransfer transfer;
+  b->Freeze();
+  net::Channel* rail = rig.graph->GetOrCreateScalingChannel(a, b);
+  uint64_t installed = transfer.SendKeyGroup(a, rail, kg1, /*scale=*/1, 0);
+  uint64_t aborted = transfer.SendKeyGroup(a, rail, kg2, /*scale=*/2, 0);
+  uint64_t forced = transfer.SendKeyGroup(a, rail, kg3, /*scale=*/3, 0);
+  EXPECT_EQ(transfer.staging_bytes(), installed + aborted + forced);
+
+  rig.sim.RunUntilIdle();
+  EXPECT_TRUE(transfer.Install(b, rail->PopInput()));
+  EXPECT_EQ(transfer.staging_bytes(), aborted + forced);
+  transfer.AbortScale(2);
+  EXPECT_EQ(transfer.staging_bytes(), forced);
+  EXPECT_EQ(transfer.ForceComplete(3, rig.graph.get(), &rig.hub), 1u);
+  EXPECT_EQ(transfer.staging_bytes(), 0u);
+  EXPECT_TRUE(b->state()->OwnsKeyGroup(kg3));
+  // The floating chunk elements of the aborted and force-completed scales
+  // are dropped on arrival and leave the counter at zero.
+  EXPECT_FALSE(transfer.Install(b, rail->PopInput()));
+  EXPECT_FALSE(transfer.Install(b, rail->PopInput()));
+  EXPECT_EQ(transfer.staging_bytes(), 0u);
 }
 
 TEST(StateTransferTest, AbortScaleDropsOnlyThatScalesChunks) {
