@@ -4,29 +4,28 @@
 #include <cstddef>
 #include <iterator>
 #include <new>
+#include <type_traits>
 #include <utility>
-
-#include "common/arena.h"
 
 namespace drrs {
 
-/// \brief Indexable double-ended queue over a power-of-two ring, with
-/// arena-recycled storage.
+/// \brief Indexable double-ended queue over a power-of-two heap ring.
 ///
 /// The channel-queue container: replaces `std::deque<StreamElement>`, whose
 /// block churn accounted for the residual ~0.5 heap allocations per record on
-/// the channel path. push/pop at both ends are O(1) and allocation-free once
-/// the ring has grown to the working-set size; growth takes its storage from
-/// the owning Arena's block freelists (or the heap when no arena is set), so
+/// the channel path. push/pop at both ends are O(1). The ring never shrinks:
+/// once grown to the working-set size it reuses its heap buffer, so
 /// steady-state traffic performs no malloc at all.
 ///
 /// Middle insert/erase (barrier splicing, record scheduling) shift the
 /// shorter side and stay O(n) like the deque they replace. Indexing is O(1).
+/// Growth moves every element into a new buffer and middle insert/erase
+/// shift elements, so a reference into the ring must not be held across
+/// either.
 template <typename T>
 class RingDeque {
  public:
   RingDeque() = default;
-  explicit RingDeque(Arena* arena) : arena_(arena) {}
 
   RingDeque(const RingDeque&) = delete;
   RingDeque& operator=(const RingDeque&) = delete;
@@ -41,10 +40,6 @@ class RingDeque {
   }
 
   ~RingDeque() { Destroy(); }
-
-  /// Storage source for future growth. Safe to call while empty or full; the
-  /// current ring (if any) keeps its original backing until the next grow.
-  void set_arena(Arena* arena) { arena_ = arena; }
 
   bool empty() const { return count_ == 0; }
   size_t size() const { return count_; }
@@ -174,34 +169,20 @@ class RingDeque {
 
   void Grow() {
     size_t next_cap = cap_ == 0 ? kInitialCapacity : cap_ * 2;
-    bool next_arena_backed = arena_ != nullptr;
-    T* next = AllocateSlots(next_cap);
+    T* next = static_cast<T*>(::operator new(next_cap * sizeof(T), kAlign));
     for (size_t i = 0; i < count_; ++i) {
       ::new (static_cast<void*>(next + i)) T(std::move(*Slot(i)));
       Slot(i)->~T();
     }
-    ReleaseSlots();  // releases via the *old* backing's flag
-    arena_backed_ = next_arena_backed;
+    ReleaseSlots();
     slots_ = next;
     cap_ = next_cap;
     mask_ = next_cap - 1;
     head_ = 0;
   }
 
-  T* AllocateSlots(size_t cap) {
-    if (arena_ != nullptr) {
-      return static_cast<T*>(arena_->AllocateBlock(cap * sizeof(T)));
-    }
-    return static_cast<T*>(::operator new(cap * sizeof(T), kAlign));
-  }
-
   void ReleaseSlots() {
-    if (slots_ == nullptr) return;
-    if (arena_backed_) {
-      arena_->FreeBlock(slots_, cap_ * sizeof(T));
-    } else {
-      ::operator delete(slots_, kAlign);
-    }
+    ::operator delete(slots_, kAlign);
     slots_ = nullptr;
   }
 
@@ -214,8 +195,6 @@ class RingDeque {
   }
 
   void MoveFrom(RingDeque& other) noexcept {
-    arena_ = other.arena_;
-    arena_backed_ = other.arena_backed_;
     slots_ = other.slots_;
     cap_ = other.cap_;
     mask_ = other.mask_;
@@ -233,8 +212,6 @@ class RingDeque {
                                                ? alignof(std::max_align_t)
                                                : alignof(T)};
 
-  Arena* arena_ = nullptr;
-  bool arena_backed_ = false;
   T* slots_ = nullptr;
   size_t cap_ = 0;
   size_t mask_ = 0;

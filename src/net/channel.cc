@@ -33,10 +33,6 @@ Channel::Channel(sim::Simulator* sim, const NetworkConfig& config,
       receiver_task_(receiver_task) {
   DRRS_CHECK(receiver_task_ != nullptr);
   DRRS_CHECK(config_.bandwidth_bytes_per_us > 0);
-  output_queue_.set_arena(sim_->arena());
-  input_queue_.set_arena(sim_->arena());
-  wire_.set_arena(sim_->arena());
-  bypass_.set_arena(sim_->arena());
 }
 
 void Channel::Push(StreamElement element) {

@@ -65,9 +65,9 @@ class ChannelReceiver {
 /// deliverable window (arrival <= now when the armed event fires) drain as
 /// one RecordBatch with a single receiver notification, so N same-instant
 /// records cost one simulator event instead of N. Conservation/FIFO audit
-/// hooks and fault interception still run per record. All queue storage
-/// (output cache, wire, input cache) lives in the simulator's arena: the
-/// steady-state path performs no heap allocation.
+/// hooks and fault interception still run per record. Every queue (output
+/// cache, wire, input cache) is a heap ring that keeps its buffer once grown
+/// to the working set: the steady-state path performs no heap allocation.
 class Channel {
  public:
   using ElementQueue = RingDeque<dataflow::StreamElement>;

@@ -7,27 +7,26 @@
 
 namespace drrs::sim {
 
-EventQueue::~EventQueue() {
-  for (const Event& e : heap_) {
-    if (e.fn == &EventQueue::InvokeBox) {
-      box_pool_.Delete(static_cast<CallbackBox*>(e.arg));
-    }
-  }
-}
-
 void EventQueue::Schedule(SimTime at, Callback cb) {
-  CallbackBox* box = box_pool_.New();
+  CallbackBox* box;
+  if (free_boxes_.empty()) {
+    boxes_.push_back(std::make_unique<CallbackBox>());
+    box = boxes_.back().get();
+    box->owner = this;
+  } else {
+    box = free_boxes_.back();
+    free_boxes_.pop_back();
+  }
   box->cb = std::move(cb);
-  box->owner = this;
   ScheduleRaw(at, &EventQueue::InvokeBox, box);
 }
 
 void EventQueue::InvokeBox(void* arg) {
   auto* box = static_cast<CallbackBox*>(arg);
   // Move the callback out and recycle the box *before* invoking: the body
-  // may schedule new boxed events, which can then reuse the slot.
+  // may schedule new boxed events, which can then reuse the box.
   Callback cb = std::move(box->cb);
-  box->owner->box_pool_.Delete(box);
+  box->owner->free_boxes_.push_back(box);
   cb();
 }
 

@@ -2,9 +2,9 @@
 #define DRRS_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "common/arena.h"
 #include "sim/event_callback.h"
 #include "sim/sim_time.h"
 
@@ -29,8 +29,8 @@ namespace drrs::sim {
 /// events, task re-arms) pass a captureless-lambda function pointer plus a
 /// context pointer directly — no callable object at all. General callables
 /// still work through `Schedule(at, EventCallback)`: the callback is boxed
-/// in a pooled arena slot and dispatched through a trampoline, with the box
-/// recycled on pop. Both paths draw from the same insertion sequence, so
+/// in a queue-owned heap box and dispatched through a trampoline, with the
+/// box recycled on pop. Both paths draw from the same insertion sequence, so
 /// mixing them preserves the global FIFO tie-break.
 class EventQueue {
  public:
@@ -38,9 +38,10 @@ class EventQueue {
   /// Hot-path event body: a captureless function taking the context pointer.
   using RawFn = void (*)(void*);
 
-  /// Destroys the boxed callbacks of events still pending (a run stopped at a
-  /// horizon), releasing their captures.
-  ~EventQueue();
+  EventQueue() = default;
+  // Boxes point back at their queue, so it stays put.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Enqueue a boxed callback to fire at absolute time `at`.
   void Schedule(SimTime at, Callback cb);
@@ -89,7 +90,7 @@ class EventQueue {
     void* arg;
   };
 
-  /// Pooled home of a boxed EventCallback while its event is pending.
+  /// Home of a boxed EventCallback while its event is pending.
   struct CallbackBox {
     Callback cb;
     EventQueue* owner;
@@ -119,8 +120,11 @@ class EventQueue {
   uint64_t next_seq_ = 0;
   uint64_t popped_ = 0;
   verify::Auditor* auditor_ = nullptr;
-  Arena box_arena_;
-  Pool<CallbackBox> box_pool_{&box_arena_};
+  // Every box ever allocated. Destroying them with the queue releases the
+  // captures of events still pending (a run stopped at a horizon).
+  std::vector<std::unique_ptr<CallbackBox>> boxes_;
+  // Boxes whose event has fired, reused by the next Schedule.
+  std::vector<CallbackBox*> free_boxes_;
 };
 
 }  // namespace drrs::sim

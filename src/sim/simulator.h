@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "common/arena.h"
 #include "sim/event_queue.h"
 #include "sim/sim_time.h"
 
@@ -87,19 +86,9 @@ class Simulator {
   uint64_t cancelled_fires() const { return cancelled_fires_; }
   void NoteCancelledFire() { ++cancelled_fires_; }
 
-  /// Data-plane arena: channel queue storage and wire batch buffers draw
-  /// from here instead of the global heap. Its lifetime is the simulation
-  /// run; epoch resets are reserved for owners of private arenas (the
-  /// simulator never resets this one mid-run, since channel queues live in
-  /// it).
-  Arena* arena() { return &arena_; }
-
  private:
   SimTime now_ = 0;
   uint64_t executed_ = 0;
-  // The arena outlives the queue: pending callbacks destroyed with the queue
-  // may still hold arena-backed storage.
-  Arena arena_;
   EventQueue queue_;
   verify::Auditor* auditor_ = nullptr;
   net::FaultPlane* fault_plane_ = nullptr;

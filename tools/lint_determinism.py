@@ -51,7 +51,7 @@ DECISION_PATH_DIRS = (
     "src/runtime",
     "src/fault",
     "src/trace",
-    # Data-plane memory & batching (arena, ring deques, batched channel
+    # Data-plane memory & batching (ring deques, batched channel
     # delivery, SoA keyed state): these now sit on the record hot path, so
     # an order hazard here reorders the event sequence itself.
     "src/common",
