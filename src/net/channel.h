@@ -82,12 +82,22 @@ class Channel {
   dataflow::InstanceId sender_id() const { return sender_id_; }
   dataflow::InstanceId receiver_id() const { return receiver_id_; }
 
-  /// Marks this channel as a migration/re-route path between two instances
-  /// of the *same* operator. Such channels are excluded from the receiver's
-  /// watermark aggregation (they carry side watermarks instead) and their
-  /// data elements are treated as eagerly consumable re-routed events.
+  /// Marks this channel as a migration/re-route path (a scaling rail)
+  /// between two instances of the *same* operator. Its data elements are
+  /// treated as eagerly consumable re-routed events, and its watermark only
+  /// constrains the receiver while the rail is open.
   void set_scaling_path(bool v) { scaling_path_ = v; }
   bool scaling_path() const { return scaling_path_; }
+
+  /// Open or close a scaling rail. Either way the channel forgets its
+  /// watermark: a rail constrains the receiver only with a watermark sent
+  /// during the current opening, and a closed rail drops the watermarks
+  /// still in flight on it.
+  void set_rail_open(bool open) {
+    rail_open_ = open;
+    watermark_ = kNoWatermark;
+  }
+  bool rail_open() const { return rail_open_; }
 
   // ---- sender side ----
 
@@ -180,6 +190,14 @@ class Channel {
   bool receiver_blocked() const { return receiver_blocked_; }
   void set_receiver_blocked(bool v) { receiver_blocked_ = v; }
 
+  // ---- watermark (owned by the receiving task) ----
+
+  /// The last watermark received on this channel; kNoWatermark until the
+  /// first one arrives (and again after a rail opens or closes).
+  static constexpr sim::SimTime kNoWatermark = INT64_MIN;
+  sim::SimTime watermark() const { return watermark_; }
+  void set_watermark(sim::SimTime wm) { watermark_ = wm; }
+
   // ---- stats ----
   uint64_t delivered_elements() const { return delivered_elements_; }
   uint64_t delivered_bytes() const { return delivered_bytes_; }
@@ -239,7 +257,9 @@ class Channel {
   uint64_t delivered_batches_ = 0;
   uint64_t max_batch_size_ = 0;
   std::array<uint64_t, 16> batch_size_log2_hist_ = {};
+  sim::SimTime watermark_ = kNoWatermark;
   bool scaling_path_ = false;
+  bool rail_open_ = false;
   bool receiver_blocked_ = false;
   /// Set when the output cache hits capacity; cleared (with listeners fired)
   /// once it drains below half capacity.

@@ -13,7 +13,6 @@ using dataflow::ElementKind;
 using dataflow::StreamElement;
 
 namespace {
-constexpr sim::SimTime kNoWatermark = -1;
 constexpr sim::SimTime kControlCost = sim::Micros(2);
 constexpr sim::SimTime kMarkerCost = sim::Micros(5);
 
@@ -423,40 +422,22 @@ void Task::CheckRecordInvariants(const StreamElement& record) {
 
 void Task::HandleWatermark(net::Channel* channel, sim::SimTime wm) {
   if (channel == nullptr) return;
-  if (channel->scaling_path()) {
-    MergeSideWatermark(channel->sender_id(), wm);
-    return;
-  }
-  auto it = channel_watermarks_.find(channel);
-  if (it == channel_watermarks_.end()) {
-    channel_watermarks_.emplace(channel, wm);
-  } else {
-    if (wm <= it->second) return;
-    it->second = wm;
-  }
-  RecomputeWatermark();
-}
-
-void Task::MergeSideWatermark(dataflow::InstanceId from, sim::SimTime wm) {
-  sim::SimTime& cur = side_watermarks_[from];
-  cur = std::max(cur, wm);
+  // A watermark still in flight when its rail closed constrains nothing.
+  if (channel->scaling_path() && !channel->rail_open()) return;
+  if (wm <= channel->watermark()) return;
+  channel->set_watermark(wm);
   RecomputeWatermark();
 }
 
 void Task::RecomputeWatermark() {
-  // All regular input channels must have reported before the operator
-  // watermark exists (new channels start at "no watermark").
-  size_t regular = 0;
-  for (net::Channel* ch : input_channels_) {
-    if (!ch->scaling_path()) ++regular;
-  }
-  if (channel_watermarks_.size() < regular) return;
   sim::SimTime wm = sim::kSimTimeMax;
-  // NOLINTNEXTLINE(drrs-unordered-iteration): pure min-fold; order-independent.
-  for (const auto& [ch, v] : channel_watermarks_) wm = std::min(wm, v);
-  // Side watermarks (from instances still migrating state to us) hold the
-  // operator watermark back until their scaling path completes.
-  for (const auto& [from, v] : side_watermarks_) wm = std::min(wm, v);
+  for (const net::Channel* ch : input_channels_) {
+    if (ch->watermark() != net::Channel::kNoWatermark) {
+      wm = std::min(wm, ch->watermark());
+    } else if (!ch->scaling_path()) {
+      return;  // the operator watermark needs every regular channel
+    }
+  }
   if (wm == sim::kSimTimeMax || wm <= operator_watermark_) return;
   operator_watermark_ = wm;
   if (operator_) operator_->ProcessWatermark(wm, this);
@@ -466,11 +447,6 @@ void Task::RecomputeWatermark() {
     w.from_instance = id_;
     BroadcastControl(w);
   }
-}
-
-void Task::ClearSideWatermark(dataflow::InstanceId from) {
-  side_watermarks_.erase(from);
-  RecomputeWatermark();
 }
 
 void Task::ForwardMarker(const StreamElement& marker) {

@@ -2,7 +2,6 @@
 #define DRRS_RUNTIME_TASK_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -181,13 +180,10 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   /// suspension").
   void ProcessRecordDirect(const dataflow::StreamElement& record);
 
-  /// Deliver a watermark value observed via a side path (scaling channels),
-  /// merged per `from` sender id.
-  void MergeSideWatermark(dataflow::InstanceId from, sim::SimTime wm);
-
-  /// Remove the side-watermark constraint from `from` (its scaling path
-  /// completed) and re-derive the operator watermark.
-  void ClearSideWatermark(dataflow::InstanceId from);
+  /// Re-derive the operator watermark from the input channels' watermarks:
+  /// the minimum over every regular channel (all must have reported) and
+  /// every open scaling rail that carries one. Call after a rail closes.
+  void RecomputeWatermark();
 
   // ---- checkpointing (invoked by CheckpointCoordinator / sources) ----
   void OnCheckpointBarrierDefault(net::Channel* channel,
@@ -277,13 +273,7 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   /// scale-out get theirs on the next congestion check.
   std::unordered_set<net::Channel*> decongest_listened_;
 
-  // watermark tracking
-  std::unordered_map<net::Channel*, sim::SimTime> channel_watermarks_;
-  /// Ordered map: RecomputeWatermark iterates it, and InstanceId keys give a
-  /// deterministic order (pointer-keyed containers would not under ASLR).
-  std::map<dataflow::InstanceId, sim::SimTime> side_watermarks_;
   sim::SimTime operator_watermark_ = -1;
-  void RecomputeWatermark();
 
   // checkpoint alignment state
   bool ckpt_active_ = false;

@@ -40,7 +40,6 @@ bool ScaleContext::AbortActiveScale() {
   // Close subscales on a copy: CloseSubscale mutates open_subscales_.
   std::set<dataflow::SubscaleId> open = open_subscales_;
   for (dataflow::SubscaleId id : open) CloseSubscale(id);
-  rails_.ReleaseAll();
   EndScale();
   return true;
 }
@@ -66,6 +65,9 @@ void ScaleContext::EndScale() {
     t->WakeUp();
   }
   hooked_.clear();
+  // With the hooks gone, lifting a rail's watermark constraint forwards
+  // nothing; releasing before on_idle_ leaves the next scale's rails alone.
+  rails_.ReleaseAll();
   open_subscales_.clear();
   active_ = false;
   if (on_idle_) on_idle_();

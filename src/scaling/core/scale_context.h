@@ -45,7 +45,8 @@ class ScaleContext {
 
   /// Finish the operation: assert the transfer session drained
   /// (leak-freedom), record the scale end, detach every attached hook (and
-  /// wake the tasks), close subscale tracking and fire the idle callback.
+  /// wake the tasks), release every rail still open, close subscale
+  /// tracking and fire the idle callback.
   void EndScale();
 
   /// Abort roll-forward helper: install every chunk of the current scale
@@ -54,8 +55,8 @@ class ScaleContext {
   size_t ForceCompleteTransfers();
 
   /// Tear down an active scale after a strategy abandoned its protocol:
-  /// close any still-open subscales, release all rails and run the normal
-  /// EndScale (hook detachment, metrics, idle callback). The caller must
+  /// close any still-open subscales and run the normal EndScale (hook
+  /// detachment, rail release, metrics, idle callback). The caller must
   /// have already quiesced its migration machinery and force-completed or
   /// aborted its transfers. Returns false when no scale was active.
   bool AbortActiveScale();

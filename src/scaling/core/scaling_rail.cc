@@ -16,6 +16,7 @@ net::Channel* ScalingRails::Open(runtime::Task* from, runtime::Task* to,
   std::vector<net::Channel*>& rails = by_source_[from->id()];
   if (std::find(rails.begin(), rails.end(), rail) == rails.end()) {
     rails.push_back(rail);
+    rail->set_rail_open(true);
     DRRS_OBSERVE(graph_->sim(), OnRailSeeded(from->id(), to->id()));
     if (seed_watermark) SeedWatermark(rail, from);
   }
@@ -58,19 +59,21 @@ void ScalingRails::Release(net::Channel* rail) {
   auto pos = std::find(it->second.begin(), it->second.end(), rail);
   if (pos == it->second.end()) return;
   it->second.erase(pos);
-  DRRS_OBSERVE(graph_->sim(),
-               OnRailReleased(rail->sender_id(), rail->receiver_id()));
-  graph_->task(rail->receiver_id())->ClearSideWatermark(rail->sender_id());
+  Close(rail);
 }
 
 void ScalingRails::ReleaseAll() {
   for (const auto& [from, rails] : by_source_) {
-    for (net::Channel* rail : rails) {
-      DRRS_OBSERVE(graph_->sim(), OnRailReleased(from, rail->receiver_id()));
-      graph_->task(rail->receiver_id())->ClearSideWatermark(from);
-    }
+    for (net::Channel* rail : rails) Close(rail);
   }
   by_source_.clear();
+}
+
+void ScalingRails::Close(net::Channel* rail) {
+  DRRS_OBSERVE(graph_->sim(),
+               OnRailReleased(rail->sender_id(), rail->receiver_id()));
+  rail->set_rail_open(false);
+  graph_->task(rail->receiver_id())->RecomputeWatermark();
 }
 
 }  // namespace drrs::scaling

@@ -14,12 +14,15 @@ namespace drrs::scaling {
 ///
 /// A rail is an ordered channel between two instances of the scaled operator
 /// carrying state chunks, re-routed records, re-routed confirm barriers and
-/// kScaleComplete teardown markers. Opening a rail registers it for
-/// watermark forwarding and (optionally) seeds the receiver's *side
-/// watermark* with the sender's current operator watermark, so the receiver
+/// kScaleComplete teardown markers. Opening a rail opens its channel and
+/// registers it for watermark forwarding; (optionally) it also seeds the rail
+/// with the sender's current operator watermark. While open, the rail's
+/// watermark holds the receiver's operator watermark back, so the receiver
 /// cannot fire event-time windows ahead of in-flight state and re-routed
 /// records ("duplicated to both input streams", Section III-A). Releasing a
-/// rail clears that constraint.
+/// rail closes its channel, which lifts that constraint and drops any
+/// watermark still in flight on it. ScaleContext::EndScale releases every
+/// rail still open, so no rail outlives its scaling operation.
 class ScalingRails {
  public:
   explicit ScalingRails(runtime::ExecutionGraph* graph) : graph_(graph) {}
@@ -27,9 +30,9 @@ class ScalingRails {
   ScalingRails(const ScalingRails&) = delete;
   ScalingRails& operator=(const ScalingRails&) = delete;
 
-  /// Get-or-create the rail `from` -> `to` and register it for watermark
-  /// forwarding. When the rail is newly opened and `seed_watermark` is set,
-  /// the receiver's side watermark is seeded immediately.
+  /// Get-or-create the rail `from` -> `to`, open it and register it for
+  /// watermark forwarding. When the rail is newly opened and
+  /// `seed_watermark` is set, it is seeded immediately.
   net::Channel* Open(runtime::Task* from, runtime::Task* to,
                      bool seed_watermark = true);
 
@@ -46,19 +49,17 @@ class ScalingRails {
   void PushComplete(net::Channel* rail, dataflow::InstanceId from,
                     dataflow::ScaleId scale, dataflow::SubscaleId subscale);
 
-  /// Release one rail: clear the receiver's side-watermark constraint and
-  /// stop forwarding over it.
+  /// Release one open rail: stop forwarding over it, close its channel and
+  /// re-derive the receiver's watermark. No-op for a rail not open.
   void Release(net::Channel* rail);
 
-  /// Release every open rail (strategy teardown).
+  /// Release every open rail (ScaleContext::EndScale).
   void ReleaseAll();
 
-  /// Forget all rails without touching the receivers' side watermarks (for
-  /// strategies that clear the constraint through their own protocol, e.g.
-  /// OTFS's receiver-side kScaleComplete handling).
-  void Reset() { by_source_.clear(); }
-
  private:
+  /// Close a rail already removed from the registry.
+  void Close(net::Channel* rail);
+
   runtime::ExecutionGraph* graph_;
   // Rails per source in open order: watermark forwarding and teardown walk
   // this list, so it must not be keyed by channel address (pointer order is

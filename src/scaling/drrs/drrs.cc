@@ -346,10 +346,11 @@ void DrrsStrategy::LaunchSubscale(const Subscale& s) {
   dc.incoming[s.id] = std::move(in);
   for (dataflow::KeyGroupId kg : s.key_groups) dc.kg_in[kg] = s.id;
 
-  // (Re-)seed the destination's side watermark so it cannot fire event-time
-  // windows ahead of the source while state and re-routed records are in
-  // flight ("duplicated to both input streams", Section III-A). Every launch
-  // re-seeds, even on an already-open rail: the source may have advanced.
+  // (Re-)seed the rail with the source's watermark so the destination cannot
+  // fire event-time windows ahead of the source while state and re-routed
+  // records are in flight ("duplicated to both input streams", Section
+  // III-A). Every launch re-seeds, even on an already-open rail: the source
+  // may have advanced.
   ScalingRails::SeedWatermark(rail, src);
 
   for (Task* pred : predecessors_) {
@@ -510,8 +511,8 @@ void DrrsStrategy::FinishSubscale(dataflow::SubscaleId id) {
     sc.kg_out.erase(kg);
     dc.kg_in.erase(kg);
   }
-  // Release the side-watermark constraint once no other active subscale uses
-  // this rail.
+  // Release the rail (and its watermark constraint) once no other active
+  // subscale uses it.
   bool rail_busy = false;
   for (const auto& [oid, out] : sc.outgoing) {
     if (out.rail == rail) rail_busy = true;
@@ -538,7 +539,6 @@ void DrrsStrategy::FinishScale() {
   subscales_.clear();
   subscale_index_.clear();
   queue_.clear();
-  core_.rails().Reset();  // per-rail release already done in FinishSubscale
   core_.EndScale();
 
   if (has_pending_plan_) {

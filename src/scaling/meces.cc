@@ -335,8 +335,6 @@ void MecesStrategy::MaybeFinish() {
   }
   units_.clear();
   core_.EndScale();
-  // Release every side-watermark constraint the rails seeded.
-  core_.rails().ReleaseAll();
 }
 
 }  // namespace drrs::scaling

@@ -50,7 +50,7 @@ Status OtfsStrategy::StartScale(const ScalePlan& plan) {
   upstream_ = core_.injector().UpstreamClosure(plan_.op);
 
   // Build per-source outgoing paths and destination bookkeeping. Each rail
-  // seeds the destination's side watermark when opened (see ScalingRails).
+  // is seeded with its source's watermark when opened (see ScalingRails).
   out_.clear();
   dst_.clear();
   align_.clear();
@@ -167,7 +167,7 @@ bool OtfsStrategy::HandleControl(Task* task, net::Channel* channel,
       DstCtx& d = dst_[task->id()];
       d.open_paths.erase(e.from_instance);
       if (d.open_paths.empty()) d.unreleased.clear();
-      task->ClearSideWatermark(e.from_instance);
+      core_.rails().Release(channel);
       task->WakeUp();
       DRRS_CHECK(open_path_count_ > 0);
       --open_path_count_;
@@ -223,8 +223,7 @@ void OtfsStrategy::PumpMigration(Task* src) {
     return;
   }
   // All paths drained: close each with a completion marker (once). The
-  // receiver clears its own side watermark when the marker arrives, so the
-  // rails are only forgotten (Reset), not released, at MaybeFinish.
+  // receiver releases the rail when the marker arrives.
   for (OutPath& p : paths) {
     if (p.rail == nullptr) continue;
     core_.rails().PushComplete(p.rail, src->id(), core_.scale_id(), 0);
@@ -254,7 +253,6 @@ void OtfsStrategy::MaybeFinish() {
   align_.clear();
   dst_.clear();
   out_.clear();
-  core_.rails().Reset();  // receivers already cleared on kScaleComplete
   core_.EndScale();
 }
 

@@ -65,7 +65,8 @@ void StopRestartStrategy::Restore(const ScalePlan& plan) {
 
   // (a) Records already in the old owners' input caches are moved, in FIFO
   //     order, onto the owner's scaling rail as re-routed special events.
-  //     The rails carry no state here, so no side watermark is seeded.
+  //     The rails carry no state here, so they are not seeded with a
+  //     watermark.
   for (Task* inst : graph_->instances_of(plan.op)) {
     for (net::Channel* ch : inst->input_channels()) {
       if (ch->scaling_path()) continue;
@@ -131,7 +132,6 @@ void StopRestartStrategy::Restore(const ScalePlan& plan) {
   for (size_t i = 0; i < graph_->task_count(); ++i) {
     graph_->task(static_cast<dataflow::InstanceId>(i))->Unfreeze();
   }
-  core_.rails().Reset();  // never seeded, nothing to release
   core_.EndScale();
 }
 

@@ -48,8 +48,8 @@ Status UnboundStrategy::StartScale(const ScalePlan& plan) {
   core_.injector().UpdateRoutingAtPredecessors(plan_.op, plan_.migrations);
 
   // Background best-effort state copy. The rails carry state the receiver
-  // uses opportunistically; no side watermark is seeded (the probe ignores
-  // time-semantic correctness by design).
+  // uses opportunistically; they are not seeded with a watermark (the probe
+  // ignores time-semantic correctness by design).
   std::map<std::pair<uint32_t, uint32_t>, std::vector<dataflow::KeyGroupId>>
       by_path;
   for (const Migration& m : plan_.migrations) {
@@ -126,7 +126,6 @@ void UnboundStrategy::AbandonScale() {
 void UnboundStrategy::MaybeFinish() {
   if (done() || !pending_.empty()) return;
   out_.clear();
-  core_.rails().Reset();  // never seeded, nothing to release
   core_.EndScale();
 }
 

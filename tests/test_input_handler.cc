@@ -70,6 +70,20 @@ class InputHandlerTest : public ::testing::Test {
     return channels_.back().get();
   }
 
+  /// A scaling rail from `sender`, opened the way ScalingRails::Open does.
+  net::Channel* AddRail(dataflow::InstanceId sender) {
+    net::Channel* rail = AddChannel(sender);
+    rail->set_scaling_path(true);
+    rail->set_rail_open(true);
+    return rail;
+  }
+
+  /// Close `rail` the way ScalingRails::Release does.
+  void ReleaseRail(net::Channel* rail) {
+    rail->set_rail_open(false);
+    task_->RecomputeWatermark();
+  }
+
   sim::Simulator sim_;
   metrics::MetricsHub hub_;
   dataflow::KeySpace key_space_;
@@ -172,37 +186,46 @@ TEST_F(InputHandlerTest, WatermarkRequiresAllChannels) {
   EXPECT_EQ(task_->current_watermark(), sim::Seconds(5));
 }
 
-TEST_F(InputHandlerTest, SideWatermarkHoldsOperatorWatermark) {
+TEST_F(InputHandlerTest, OpenRailWatermarkHoldsOperatorWatermark) {
   net::Channel* a = AddChannel(100);
-  task_->MergeSideWatermark(/*from=*/50, sim::Seconds(2));
+  net::Channel* rail = AddRail(50);
+  rail->Push(dataflow::MakeWatermark(sim::Seconds(2)));  // the seed
+  sim_.RunUntilIdle();
   a->Push(dataflow::MakeWatermark(sim::Seconds(10)));
   sim_.RunUntilIdle();
-  // Held back by the migrating instance's side watermark.
+  // Held back by the migrating instance's rail watermark.
   EXPECT_EQ(task_->current_watermark(), sim::Seconds(2));
-  task_->MergeSideWatermark(50, sim::Seconds(6));
+  rail->Push(dataflow::MakeWatermark(sim::Seconds(6)));  // forwarded
+  sim_.RunUntilIdle();
   EXPECT_EQ(task_->current_watermark(), sim::Seconds(6));
-  task_->ClearSideWatermark(50);
+  ReleaseRail(rail);
   EXPECT_EQ(task_->current_watermark(), sim::Seconds(10));
 }
 
-TEST_F(InputHandlerTest, ScalingPathWatermarksGoToSideMap) {
+TEST_F(InputHandlerTest, RailWithoutWatermarkDoesNotHoldOperatorWatermark) {
   net::Channel* a = AddChannel(100);
-  net::Channel* rail = AddChannel(200);
-  rail->set_scaling_path(true);
-  // The side constraint must be in place before the regular watermark (the
-  // strategies seed it at subscale launch); operator watermarks are
-  // monotonic, so a late side watermark cannot lower an already-advanced
-  // one.
-  StreamElement w = dataflow::MakeWatermark(sim::Seconds(4));
-  w.from_instance = 200;
-  rail->Push(w);
-  sim_.RunUntilIdle();
+  AddRail(200);  // open, never seeded
   a->Push(dataflow::MakeWatermark(sim::Seconds(9)));
   sim_.RunUntilIdle();
-  // Held at the rail sender's watermark despite the regular channel's 9s.
-  EXPECT_EQ(task_->current_watermark(), sim::Seconds(4));
-  task_->ClearSideWatermark(200);
   EXPECT_EQ(task_->current_watermark(), sim::Seconds(9));
+}
+
+TEST_F(InputHandlerTest, WatermarkInFlightOnReleasedRailIsDropped) {
+  net::Channel* a = AddChannel(100);
+  net::Channel* rail = AddRail(200);
+  a->Push(dataflow::MakeWatermark(sim::Seconds(3)));
+  sim_.RunUntilIdle();
+  EXPECT_EQ(task_->current_watermark(), sim::Seconds(3));
+  // The sender forwards one more watermark, then the rail is released while
+  // that watermark is still on the wire.
+  rail->Push(dataflow::MakeWatermark(sim::Seconds(4)));
+  ReleaseRail(rail);
+  sim_.RunUntilIdle();
+  // The late rail watermark must not pin the task: the regular channel
+  // alone drives the operator watermark from now on.
+  a->Push(dataflow::MakeWatermark(sim::Seconds(12)));
+  sim_.RunUntilIdle();
+  EXPECT_EQ(task_->current_watermark(), sim::Seconds(12));
 }
 
 TEST_F(InputHandlerTest, SuspensionMemoStillWakesOnNewHead) {

@@ -365,10 +365,14 @@ TEST(AuditFaultInjection, DroppedChunkIsReportedAsLeak) {
   // Fault: the receiver drops the chunk — delivered but never installed.
   rig.sim.RunUntilIdle();
   rig.core.EndScale();  // soft-fails under audit instead of aborting
-  EXPECT_EQ(rig.auditor.CountOf(AuditCheck::kProtocol), 1u)
+  // Two violations: EndScale finds the chunk leaked, and releasing the still
+  // open rail finds a chunk in flight on it.
+  EXPECT_EQ(rig.auditor.CountOf(AuditCheck::kProtocol), 2u)
       << rig.auditor.Report().Summary();
   EXPECT_TRUE(AnyMessageContains(rig.auditor, "state transfer leak"));
   EXPECT_TRUE(AnyMessageContains(rig.auditor, "never installed or aborted"));
+  EXPECT_TRUE(AnyMessageContains(rig.auditor,
+                                 "released with state chunk (transfer 1"));
 }
 
 TEST(AuditFaultInjection, DuplicatedChunkIsReportedOnSecondInstall) {

@@ -17,7 +17,7 @@ using harness::SystemKind;
 /// Collects fired window panes at the sink: (key, window_end) -> aggregate.
 /// Window results are deterministic per (key, pane) regardless of execution
 /// interleaving, so any pane fired by both runs must agree exactly — this is
-/// the event-time-semantics preservation the side-watermark machinery exists
+/// the event-time-semantics preservation the rail watermarks exist
 /// for (a pane fired early would have missed late re-routed records and
 /// show a smaller aggregate).
 class PaneCollector : public runtime::SinkCollector {
