@@ -44,7 +44,10 @@ struct StreamElement {
   sim::SimTime event_time = 0;  ///< Event timestamp (watermark value too).
   sim::SimTime create_time = 0; ///< Ingestion time (latency accounting).
   uint32_t payload_bytes = 0;   ///< Modeled wire size of the element.
-  uint64_t seq = 0;             ///< Per-(sender,key) sequence for order checks.
+  /// Sender's emission counter, stamped on keyed edges when order checks are
+  /// on (0 = unstamped). It rises in emission order, so it rises within each
+  /// (sender, key) stream; receivers check that per stream.
+  uint64_t seq = 0;
 
   // --- provenance ---
   InstanceId from_instance = 0; ///< Sender task instance (set on emission).

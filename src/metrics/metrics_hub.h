@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dataflow/stream_element.h"
@@ -126,24 +125,28 @@ class InvariantMonitor {
   }
 
   /// Verify the per-(consumer op, sender instance, key) sequence number is
-  /// strictly increasing; bumps the violation counters otherwise.
+  /// strictly increasing; bumps the violation counters otherwise. `seq` must
+  /// be positive: 0 means "not stamped" and marks an empty table slot.
   void CheckOrder(dataflow::OperatorId op, dataflow::InstanceId sender,
                   dataflow::KeyT key, uint64_t seq);
 
-
  private:
-  struct SeqKey {
-    dataflow::OperatorId op;
-    dataflow::InstanceId sender;
-    dataflow::KeyT key;
-    bool operator==(const SeqKey& o) const {
-      return op == o.op && sender == o.sender && key == o.key;
-    }
+  /// Last seq seen on one (consumer op, sender, key) stream; `last == 0`
+  /// marks an empty slot.
+  struct Slot {
+    dataflow::OperatorId op = 0;
+    dataflow::InstanceId sender = 0;
+    dataflow::KeyT key = 0;
+    uint64_t last = 0;
   };
-  struct SeqKeyHash {
-    size_t operator()(const SeqKey& k) const;
-  };
-  std::unordered_map<SeqKey, uint64_t, SeqKeyHash> last_seq_;
+  static constexpr size_t kInitialSlots = 64;
+
+  void Grow();
+
+  /// Open addressing with linear probing: power-of-two size, at most half
+  /// full. Streams are never erased, so there are no tombstones.
+  std::vector<Slot> slots_ = std::vector<Slot>(kInitialSlots);
+  size_t used_ = 0;
 };
 
 /// \brief Retry/recovery counters bumped by the fault-tolerance machinery:

@@ -462,10 +462,10 @@ void Task::ForwardMarker(const StreamElement& marker) {
 void Task::StampOutgoing(StreamElement* element) {
   element->from_instance = id_;
   bool stamp = check_invariants_;
-  // The auditor's ordering check reuses the same per-(sender, key) stamps.
+  // The auditor's ordering check reuses the same stamps.
   DRRS_OBSERVE_ONLY(stamp = stamp || sim_->auditor() != nullptr;)
   if (stamp && element->kind == ElementKind::kRecord) {
-    element->seq = ++emit_seq_[element->key];
+    element->seq = ++emit_seq_;
   }
 }
 
@@ -480,7 +480,7 @@ void Task::Emit(const StreamElement& record) {
     uint32_t target = 0;
     switch (edge.partitioning) {
       case dataflow::Partitioning::kHash:
-        // Per-(sender, key) sequence numbers underpin the order invariant;
+        // Emission stamps underpin the per-(sender, key) order invariant;
         // they are only meaningful on keyed edges (rebalance legitimately
         // spreads a key across consumer subtasks).
         StampOutgoing(&e);

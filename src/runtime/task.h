@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -171,7 +170,10 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   void BroadcastControl(const dataflow::StreamElement& element);
   /// Send `element` to downstream subtask `target` of the (single) hash edge.
   void SendOnHashEdge(uint32_t target, dataflow::StreamElement element);
-  /// Stamp provenance + per-key sequence number as if emitted by this task.
+  /// Stamp provenance and, when order checks are on, the next value of this
+  /// task's emission counter. One counter for all keys suffices: it rises
+  /// in emission order, so it also rises within every (sender, key)
+  /// subsequence the receivers check.
   void StampOutgoing(dataflow::StreamElement* element);
 
   /// Run one element through the operator, bypassing input selection.
@@ -285,7 +287,7 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   std::vector<net::Channel*> ckpt_received_;
 
   // emission state
-  std::unordered_map<dataflow::KeyT, uint64_t> emit_seq_;
+  uint64_t emit_seq_ = 0;  ///< last stamp handed out by StampOutgoing
 
   // stats
   uint64_t processed_records_ = 0;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "dataflow/key_space.h"
 #include "dataflow/operator.h"
+#include "dataflow/routing_table.h"
 #include "metrics/metrics_hub.h"
 #include "net/channel.h"
 #include "runtime/task.h"
@@ -19,18 +22,22 @@ using dataflow::ElementKind;
 using dataflow::MakeRecord;
 using dataflow::StreamElement;
 
-/// Records the order in which keys reach the operator.
+/// Records the order in which keys, and their order stamps, reach the
+/// operator.
 class RecordingOperator : public dataflow::Operator {
  public:
-  explicit RecordingOperator(std::vector<dataflow::KeyT>* sink)
-      : sink_(sink) {}
+  RecordingOperator(std::vector<dataflow::KeyT>* keys,
+                    std::vector<uint64_t>* seqs)
+      : keys_(keys), seqs_(seqs) {}
   void ProcessRecord(const StreamElement& record,
                      dataflow::OperatorContext* /*ctx*/) override {
-    sink_->push_back(record.key);
+    keys_->push_back(record.key);
+    seqs_->push_back(record.seq);
   }
 
  private:
-  std::vector<dataflow::KeyT>* sink_;
+  std::vector<dataflow::KeyT>* keys_;
+  std::vector<uint64_t>* seqs_;
 };
 
 /// Hook whose processability is controlled by a key blocklist.
@@ -52,9 +59,10 @@ class InputHandlerTest : public ::testing::Test {
     spec.parallelism = 1;
     spec.is_stateful = false;
     spec.record_cost = sim::Micros(10);
-    std::vector<dataflow::KeyT>* sink = &processed_;
-    spec.factory = [sink]() {
-      return std::make_unique<RecordingOperator>(sink);
+    std::vector<dataflow::KeyT>* keys = &processed_;
+    std::vector<uint64_t>* seqs = &seqs_;
+    spec.factory = [keys, seqs]() {
+      return std::make_unique<RecordingOperator>(keys, seqs);
     };
     task_ = std::make_unique<Task>(&sim_, spec, /*id=*/0, /*op=*/0,
                                    /*subtask=*/0, &key_space_, &hub_,
@@ -84,10 +92,31 @@ class InputHandlerTest : public ::testing::Test {
     task_->RecomputeWatermark();
   }
 
+  /// A task of another operator whose one hash edge routes every key-group
+  /// to task_.
+  std::unique_ptr<Task> MakeHashSender(dataflow::InstanceId id,
+                                       bool check_invariants) {
+    dataflow::OperatorSpec spec;
+    spec.name = "sender";
+    spec.parallelism = 1;
+    auto sender = std::make_unique<Task>(&sim_, spec, id, /*op=*/1,
+                                         /*subtask=*/0, &key_space_, &hub_,
+                                         check_invariants);
+    OutputEdge edge;
+    edge.to_op = 0;
+    edge.partitioning = dataflow::Partitioning::kHash;
+    edge.routing = dataflow::RoutingTable(
+        std::vector<dataflow::InstanceId>(key_space_.num_key_groups(), 0));
+    edge.channels = {AddChannel(id)};
+    sender->AddOutputEdge(std::move(edge));
+    return sender;
+  }
+
   sim::Simulator sim_;
   metrics::MetricsHub hub_;
   dataflow::KeySpace key_space_;
   std::vector<dataflow::KeyT> processed_;
+  std::vector<uint64_t> seqs_;
   std::vector<std::unique_ptr<net::Channel>> channels_;
   std::unique_ptr<Task> task_;
 };
@@ -251,6 +280,29 @@ TEST_F(InputHandlerTest, SuspensionMemoStillWakesOnNewHead) {
   task_->WakeUp();
   sim_.RunUntilIdle();
   EXPECT_EQ(processed_.size(), 2u);
+}
+
+TEST_F(InputHandlerTest, CheckedSenderStampsEmissionOrder) {
+  // One counter per sender: A, B, A stamp 1, 2, 3, which still rises
+  // within each (sender, key) stream.
+  std::unique_ptr<Task> sender = MakeHashSender(100, /*check_invariants=*/true);
+  for (dataflow::KeyT key : {7, 9, 7}) {
+    sender->Emit(MakeRecord(key, 0, 0, 0, 64));
+  }
+  sim_.RunUntilIdle();
+  EXPECT_EQ(processed_, (std::vector<dataflow::KeyT>{7, 9, 7}));
+  EXPECT_EQ(seqs_, (std::vector<uint64_t>{1, 2, 3}));
+}
+
+TEST_F(InputHandlerTest, UncheckedSenderLeavesSeqUnstamped) {
+  std::unique_ptr<Task> sender =
+      MakeHashSender(100, /*check_invariants=*/false);
+  for (dataflow::KeyT key : {7, 9, 7}) {
+    sender->Emit(MakeRecord(key, 0, 0, 0, 64));
+  }
+  sim_.RunUntilIdle();
+  EXPECT_EQ(processed_, (std::vector<dataflow::KeyT>{7, 9, 7}));
+  EXPECT_EQ(seqs_, (std::vector<uint64_t>{0, 0, 0}));
 }
 
 TEST_F(InputHandlerTest, FreezeDefersEverything) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "harness/experiment.h"
 #include "metrics/metrics_hub.h"
 #include "runtime/checkpoint.h"
 #include "runtime/execution_graph.h"
+#include "runtime/input_handler.h"
+#include "runtime/task.h"
 #include "sim/simulator.h"
 #include "workloads/workloads.h"
 
@@ -167,6 +170,75 @@ TEST(ExecutionGraph, FreezeStopsProcessing) {
   e.sim.RunUntilIdle();
   EXPECT_GT(e.hub.source_rate().total(), at_freeze);
   EXPECT_EQ(e.hub.sink_rate().total(), e.hub.source_rate().total());
+}
+
+/// Wraps the default handler and damages the input order once: it holds the
+/// first stamped record back and hands it out right after the next record of
+/// the same (sender, key) stream, or, in duplicate mode, hands it out twice.
+class TamperingInputHandler : public InputHandler {
+ public:
+  explicit TamperingInputHandler(bool duplicate) : duplicate_(duplicate) {}
+
+  Selection SelectNext(Task* task) override {
+    if (phase_ == Phase::kRelease) {
+      phase_ = Phase::kDone;
+      return std::move(held_);
+    }
+    Selection sel = inner_.SelectNext(task);
+    if (phase_ == Phase::kWatch && Stamped(sel)) {
+      held_ = sel;
+      if (duplicate_) {
+        phase_ = Phase::kRelease;
+        return sel;
+      }
+      phase_ = Phase::kHold;
+      sel = inner_.SelectNext(task);
+    }
+    if (phase_ == Phase::kHold && Stamped(sel) &&
+        sel.element.from_instance == held_.element.from_instance &&
+        sel.element.key == held_.element.key) {
+      phase_ = Phase::kRelease;  // the held, older record goes next
+    }
+    return sel;
+  }
+
+ private:
+  enum class Phase { kWatch, kHold, kRelease, kDone };
+
+  static bool Stamped(const Selection& sel) {
+    return sel.has_element &&
+           sel.element.kind == dataflow::ElementKind::kRecord &&
+           sel.element.seq > 0;
+  }
+
+  DefaultInputHandler inner_;
+  bool duplicate_;
+  Phase phase_ = Phase::kWatch;
+  Selection held_;
+};
+
+/// Runs the small checked job with one aggregator instance's input tampered.
+metrics::InvariantMonitor RunTampered(bool duplicate) {
+  Engine e(SmallParams());
+  e.graph.instance(e.workload.scaled_op, 0)
+      ->InstallInputHandler(std::make_unique<TamperingInputHandler>(duplicate));
+  e.graph.Start();
+  e.sim.RunUntilIdle();
+  return e.hub.invariants();
+}
+
+TEST(OrderInvariant, ReportsOneReorderedRecord) {
+  metrics::InvariantMonitor inv = RunTampered(/*duplicate=*/false);
+  EXPECT_EQ(inv.order_violations, 1u);
+  EXPECT_EQ(inv.duplicate_processing, 0u);
+  EXPECT_EQ(inv.state_miss_processing, 0u);
+}
+
+TEST(OrderInvariant, ReportsOneDuplicatedRecord) {
+  metrics::InvariantMonitor inv = RunTampered(/*duplicate=*/true);
+  EXPECT_EQ(inv.duplicate_processing, 1u);
+  EXPECT_EQ(inv.order_violations, 0u);
+  EXPECT_EQ(inv.state_miss_processing, 0u);
 }
 
 TEST(Checkpoint, CompletesAndSnapshotsState) {
