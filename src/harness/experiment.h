@@ -117,7 +117,7 @@ struct ExperimentResult {
   sim::SimTime cumulative_suspension = 0;
 
   metrics::ScalingMetrics::TransferStats transfers;  ///< Meces analysis
-  metrics::InvariantMonitor invariants;
+  metrics::InvariantCounts invariants;
   /// Invariant-audit findings (enabled=false unless built with DRRS_OBSERVE;
   /// finalized only for run-to-completion runs).
   verify::AuditReport audit;

@@ -113,8 +113,7 @@ class ScalingMetrics {
 /// Unbound (the correctness-free design probe, Section II-B) is *expected* to
 /// accumulate violations; every real strategy must keep all counters at zero
 /// — that is asserted by the property tests.
-class InvariantMonitor {
- public:
+struct InvariantCounts {
   uint64_t order_violations = 0;       ///< per-(sender,key) seq inversions
   uint64_t state_miss_processing = 0;  ///< record processed w/o local state
   uint64_t duplicate_processing = 0;   ///< same record processed twice
@@ -123,6 +122,13 @@ class InvariantMonitor {
     return order_violations == 0 && state_miss_processing == 0 &&
            duplicate_processing == 0;
   }
+};
+
+/// \brief The live checker behind InvariantCounts: keeps the last seq seen
+/// on every stream. Results copy only counts(), never the table.
+class InvariantMonitor : public InvariantCounts {
+ public:
+  const InvariantCounts& counts() const { return *this; }
 
   /// Verify the per-(consumer op, sender instance, key) sequence number is
   /// strictly increasing; bumps the violation counters otherwise. `seq` must

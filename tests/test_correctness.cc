@@ -56,7 +56,7 @@ struct RunOutput {
   std::map<dataflow::KeyT, std::pair<int64_t, int64_t>> final_state;
   uint64_t source_records = 0;
   uint64_t sink_records = 0;
-  metrics::InvariantMonitor invariants;
+  metrics::InvariantCounts invariants;
 };
 
 RunOutput RunOnce(const CustomParams& params, SystemKind kind,
@@ -91,7 +91,7 @@ RunOutput RunOnce(const CustomParams& params, SystemKind kind,
   out.final_state = FinalState(&graph, workload.scaled_op);
   out.source_records = hub.source_rate().total();
   out.sink_records = hub.sink_rate().total();
-  out.invariants = hub.invariants();
+  out.invariants = hub.invariants().counts();
   return out;
 }
 

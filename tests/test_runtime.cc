@@ -218,24 +218,24 @@ class TamperingInputHandler : public InputHandler {
 };
 
 /// Runs the small checked job with one aggregator instance's input tampered.
-metrics::InvariantMonitor RunTampered(bool duplicate) {
+metrics::InvariantCounts RunTampered(bool duplicate) {
   Engine e(SmallParams());
   e.graph.instance(e.workload.scaled_op, 0)
       ->InstallInputHandler(std::make_unique<TamperingInputHandler>(duplicate));
   e.graph.Start();
   e.sim.RunUntilIdle();
-  return e.hub.invariants();
+  return e.hub.invariants().counts();
 }
 
 TEST(OrderInvariant, ReportsOneReorderedRecord) {
-  metrics::InvariantMonitor inv = RunTampered(/*duplicate=*/false);
+  metrics::InvariantCounts inv = RunTampered(/*duplicate=*/false);
   EXPECT_EQ(inv.order_violations, 1u);
   EXPECT_EQ(inv.duplicate_processing, 0u);
   EXPECT_EQ(inv.state_miss_processing, 0u);
 }
 
 TEST(OrderInvariant, ReportsOneDuplicatedRecord) {
-  metrics::InvariantMonitor inv = RunTampered(/*duplicate=*/true);
+  metrics::InvariantCounts inv = RunTampered(/*duplicate=*/true);
   EXPECT_EQ(inv.duplicate_processing, 1u);
   EXPECT_EQ(inv.order_violations, 0u);
   EXPECT_EQ(inv.state_miss_processing, 0u);

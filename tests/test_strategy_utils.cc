@@ -1,82 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "counting_heap.h"
 #include "scaling/strategy.h"
 #include "sim/simulator.h"
 #include "workloads/workloads.h"
-
-// Counting replacements for the global allocation functions: every form
-// (plain, array, aligned, nothrow) requests through malloc/posix_memalign and
-// releases through free, so sanitizer builds see matching pairs. While
-// `g_count_heap` is set, `g_heap_bytes` sums the bytes requested.
-namespace {
-bool g_count_heap = false;
-size_t g_heap_bytes = 0;
-
-void* CountedAlloc(size_t n, size_t align) noexcept {
-  if (g_count_heap) g_heap_bytes += n;
-  if (n == 0) n = 1;
-  if (align <= alignof(std::max_align_t)) return std::malloc(n);
-  void* p = nullptr;
-  return posix_memalign(&p, align, n) == 0 ? p : nullptr;
-}
-
-void* CountedAllocOrThrow(size_t n, size_t align) {
-  void* p = CountedAlloc(n, align);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(size_t n) { return CountedAllocOrThrow(n, 0); }
-void* operator new[](size_t n) { return CountedAllocOrThrow(n, 0); }
-void* operator new(size_t n, std::align_val_t a) {
-  return CountedAllocOrThrow(n, static_cast<size_t>(a));
-}
-void* operator new[](size_t n, std::align_val_t a) {
-  return CountedAllocOrThrow(n, static_cast<size_t>(a));
-}
-void* operator new(size_t n, const std::nothrow_t&) noexcept {
-  return CountedAlloc(n, 0);
-}
-void* operator new[](size_t n, const std::nothrow_t&) noexcept {
-  return CountedAlloc(n, 0);
-}
-void* operator new(size_t n, std::align_val_t a,
-                   const std::nothrow_t&) noexcept {
-  return CountedAlloc(n, static_cast<size_t>(a));
-}
-void* operator new[](size_t n, std::align_val_t a,
-                     const std::nothrow_t&) noexcept {
-  return CountedAlloc(n, static_cast<size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace drrs::scaling {
 namespace {
@@ -245,16 +174,18 @@ TEST(StateTransferTest, ModeledChunkBytesAreNotAllocated) {
   StateTransfer transfer;
   b->Freeze();
   net::Channel* rail = rig.graph->GetOrCreateScalingChannel(a, b);
-  g_heap_bytes = 0;
-  g_count_heap = true;
-  uint64_t bytes = transfer.SendKeyGroup(a, rail, kg, 1, 0);
-  EXPECT_GE(bytes, kModeled);
-  EXPECT_EQ(transfer.staging_bytes(), bytes);
-  rig.sim.RunUntilIdle();
-  EXPECT_TRUE(transfer.Install(b, rail->PopInput()));
-  g_count_heap = false;
+  uint64_t heap_bytes = 0;
+  {
+    ScopedHeapCount heap;
+    uint64_t bytes = transfer.SendKeyGroup(a, rail, kg, 1, 0);
+    EXPECT_GE(bytes, kModeled);
+    EXPECT_EQ(transfer.staging_bytes(), bytes);
+    rig.sim.RunUntilIdle();
+    EXPECT_TRUE(transfer.Install(b, rail->PopInput()));
+    heap_bytes = heap.count().bytes;
+  }
   EXPECT_EQ(b->state()->Get(kg, 7)->nominal_bytes, kModeled);
-  EXPECT_LT(g_heap_bytes, size_t{1} << 20) << g_heap_bytes << " heap bytes";
+  EXPECT_LT(heap_bytes, uint64_t{1} << 20) << heap_bytes << " heap bytes";
 }
 
 TEST(StateTransferTest, StagingBytesDrainOnInstallAbortAndForceComplete) {

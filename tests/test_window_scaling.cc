@@ -39,7 +39,7 @@ struct WindowRun {
   std::map<std::pair<dataflow::KeyT, sim::SimTime>, int64_t> panes;
   uint64_t double_fires = 0;
   uint64_t source_records = 0;
-  metrics::InvariantMonitor invariants;
+  metrics::InvariantCounts invariants;
 };
 
 WindowRun RunWindowJob(SystemKind kind, int query, uint64_t seed) {
@@ -83,7 +83,7 @@ WindowRun RunWindowJob(SystemKind kind, int query, uint64_t seed) {
   out.panes = collector.panes_;
   out.double_fires = collector.double_fires_;
   out.source_records = hub.source_rate().total();
-  out.invariants = hub.invariants();
+  out.invariants = hub.invariants().counts();
   return out;
 }
 

@@ -10,7 +10,7 @@ once each, `--jobs` processes at a time (`bench_figures --cell=<id>
 figure-level metrics the perf gate tracks (records/s, mechanism time, p99
 latency, ...) and appends one history row per figure, keyed by the
 figure's labels, to `BENCH_<fig>.json` at the repo root — the committed
-perf-trajectory files that `tools/perf_gate.py --figure` diffs against.
+perf-trajectory files that `tools/perf_gate.py` diffs against.
 
 Usage:
     campaign.py --bench-dir build/bench                  # fig02, fig10, fig11
@@ -58,8 +58,7 @@ def list_figures(binary):
 
 def reduce_summary(doc):
     """One schema-v2 --json-summary document -> figure-level metrics (the
-    cell_metrics of tools/figure_schema.json, which perf_gate.py --figure
-    gates)."""
+    cell_metrics of tools/figure_schema.json, which perf_gate.py gates)."""
     version = doc.get("schema_version", 0)
     if version < 2:
         raise ValueError(f"schema_version {version} < 2 — rebuild "
