@@ -76,9 +76,7 @@ scaling::Mechanism MechanismFor(SystemKind kind) {
 std::unique_ptr<scaling::ScalingStrategy> MakeStrategy(
     SystemKind kind, runtime::ExecutionGraph* graph) {
   if (kind == SystemKind::kNoScale) return nullptr;
-  scaling::ScaleService::Options options;
-  options.mechanism = MechanismFor(kind);
-  return scaling::MakeMechanismStrategy(options.mechanism, graph, options);
+  return scaling::MakeMechanismStrategy(MechanismFor(kind), graph);
 }
 
 ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,

@@ -80,13 +80,6 @@ class ScalingMetrics {
   };
   TransferStats UnitTransferStats() const;
 
-  /// Raw per-unit transfer counts (diagnostics).
-  const std::map<std::pair<dataflow::KeyGroupId, uint32_t>, uint64_t>&
-  unit_transfers() const {
-    return unit_transfers_;
-  }
-
-
  private:
   struct SignalTimes {
     sim::SimTime injection = -1;

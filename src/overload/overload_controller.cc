@@ -7,6 +7,21 @@
 
 namespace drrs::overload {
 
+namespace {
+/// De-escalation happens only once the backlog falls below
+/// `kHysteresis * threshold(current level)` — prevents level flapping at a
+/// threshold boundary.
+constexpr double kHysteresis = 0.5;
+static_assert(kHysteresis > 0.0 && kHysteresis <= 1.0);
+/// Backlog sampling cadence (simulated time).
+constexpr sim::SimTime kBacklogSamplePeriod = sim::Millis(50);
+/// kColdestKeys: fraction of observed keys considered cold (sheddable).
+constexpr double kColdFraction = 0.5;
+static_assert(kColdFraction >= 0.0 && kColdFraction <= 1.0);
+/// Token-bucket burst of each source while throttled.
+constexpr double kThrottleBurst = 64;
+}  // namespace
+
 const char* PressureLevelName(PressureLevel level) {
   switch (level) {
     case PressureLevel::kOk:
@@ -59,8 +74,6 @@ void OverloadController::Arm() {
   DRRS_CHECK(options_.backpressure_threshold <= options_.shed_threshold &&
              options_.shed_threshold <= options_.throttle_threshold)
       << "overload thresholds must be nondecreasing";
-  DRRS_CHECK(options_.hysteresis > 0.0 && options_.hysteresis <= 1.0)
-      << "hysteresis must be in (0, 1]";
   DRRS_CHECK(options_.queue_bound > 0) << "queue_bound must be positive";
   DRRS_CHECK(!graph_->instances_of(op_).empty())
       << "monitored operator has no instances";
@@ -72,7 +85,7 @@ void OverloadController::Arm() {
     s->set_throttle(buckets_.back().get());
   }
   sampler_ = std::make_unique<sim::PeriodicProcess>(
-      graph_->sim(), options_.sample_period, options_.sample_period,
+      graph_->sim(), kBacklogSamplePeriod, kBacklogSamplePeriod,
       [this]() { Sample(); });
 }
 
@@ -112,8 +125,7 @@ PressureLevel OverloadController::NextLevel(uint64_t backlog) const {
   if (raw >= level_) return raw;  // escalation is immediate
   // De-escalate only once the backlog clears the hysteresis band below the
   // current level's threshold; then drop straight to the raw level.
-  double release =
-      options_.hysteresis * static_cast<double>(ThresholdFor(level_));
+  double release = kHysteresis * static_cast<double>(ThresholdFor(level_));
   if (static_cast<double>(backlog) < release) return raw;
   return level_;
 }
@@ -175,9 +187,9 @@ void OverloadController::UpdateThrottle() {
   for (size_t i = 0; i < sources_.size(); ++i) {
     runtime::SourceTask* s = sources_[i];
     if (want_throttle) {
-      buckets_[i]->SetRate(per_source, options_.throttle_burst);
+      buckets_[i]->SetRate(per_source, kThrottleBurst);
     } else {
-      buckets_[i]->SetRate(0, options_.throttle_burst);
+      buckets_[i]->SetRate(0, kThrottleBurst);
       // A source parked on the old rate may hold a far-future wakeup;
       // re-check immediately now that the bucket admits everything.
       s->WakeUp();
@@ -202,7 +214,7 @@ void OverloadController::RecomputeColdThreshold() {
     return;
   }
   // Quantile over the observed key heats: keys at or below the
-  // cold_fraction-quantile are sheddable. The scan iterates an ordered map
+  // kColdFraction-quantile are sheddable. The scan iterates an ordered map
   // and a sorted scratch vector, so the boundary is deterministic.
   std::vector<uint64_t> heats;
   heats.reserve(key_heat_.size());
@@ -221,8 +233,8 @@ void OverloadController::RecomputeColdThreshold() {
     return;
   }
   std::sort(heats.begin(), heats.end());
-  double f = std::clamp(options_.cold_fraction, 0.0, 1.0);
-  size_t idx = static_cast<size_t>(f * static_cast<double>(heats.size() - 1));
+  size_t idx = static_cast<size_t>(kColdFraction *
+                                   static_cast<double>(heats.size() - 1));
   cold_threshold_ = heats[idx];
 }
 

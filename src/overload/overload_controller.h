@@ -50,26 +50,16 @@ struct OverloadOptions {
   uint64_t backpressure_threshold = 96;
   uint64_t shed_threshold = 256;
   uint64_t throttle_threshold = 512;
-  /// De-escalation happens only once backlog falls below
-  /// `hysteresis * threshold(current level)` — prevents level flapping at a
-  /// threshold boundary.
-  double hysteresis = 0.5;
-
-  /// Backlog sampling cadence (simulated time).
-  sim::SimTime sample_period = sim::Millis(50);
 
   ShedPolicy shed_policy = ShedPolicy::kDropTail;
   /// Per-channel input-cache bound enforced while shedding. Policies other
   /// than drop-tail get a hard cap at twice this bound so every policy keeps
   /// queues bounded even when its own criterion declines to shed.
   size_t queue_bound = 48;
-  /// kColdestKeys: fraction of observed keys considered cold (sheddable).
-  double cold_fraction = 0.5;
 
   /// Aggregate source ingest cap while at kThrottled, split evenly across
   /// sources. <= 0 disables the throttle rung (shedding still applies).
   double throttle_rate_per_sec = 0;
-  double throttle_burst = 64;
 
   /// Seed for the kSeededRandom coin. Draws happen in event order, so shed
   /// decisions are bit-identical across runs of the same seed.

@@ -32,7 +32,7 @@ std::unique_ptr<Task> ExecutionGraph::MakeTask(OperatorId op,
     auto gen = spec.source_factory(subtask, spec.parallelism);
     task = std::make_unique<SourceTask>(
         sim_, spec, id, op, subtask, &key_space_, hub_,
-        config_.check_invariants, std::move(gen), config_.source_timing);
+        config_.check_invariants, std::move(gen));
   } else {
     task = std::make_unique<Task>(sim_, spec, id, op, subtask, &key_space_,
                                   hub_, config_.check_invariants);

@@ -24,11 +24,6 @@ struct EngineConfig {
   /// Enable per-record order/exactly-once/state-ownership checks. Tests keep
   /// this on; benchmarks turn it off for speed.
   bool check_invariants = true;
-  SourceTiming source_timing;
-  /// CPU cost of state (de)serialization during migration, charged to the
-  /// extracting/installing instance (part of the paper's inherent overhead
-  /// L_o). ~300 MB/s, in the ballpark of Flink's serializer throughput.
-  double state_serialize_bytes_per_us = 300.0;
 };
 
 /// \brief Physical deployment of a JobGraph: one Task per subtask, channels

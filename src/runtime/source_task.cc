@@ -10,16 +10,21 @@ namespace drrs::runtime {
 
 using dataflow::StreamElement;
 
+namespace {
+/// Watermark emission period.
+constexpr sim::SimTime kWatermarkInterval = sim::Millis(200);
+/// Latency-marker insertion period.
+constexpr sim::SimTime kMarkerInterval = sim::Millis(250);
+}  // namespace
+
 SourceTask::SourceTask(sim::Simulator* sim, const dataflow::OperatorSpec& spec,
                        dataflow::InstanceId id, dataflow::OperatorId op,
                        uint32_t subtask, const dataflow::KeySpace* key_space,
                        metrics::MetricsHub* hub, bool check_invariants,
-                       std::unique_ptr<dataflow::SourceGenerator> generator,
-                       SourceTiming timing)
+                       std::unique_ptr<dataflow::SourceGenerator> generator)
     : Task(sim, spec, id, op, subtask, key_space, hub, check_invariants),
       generator_(std::move(generator)),
-      timing_(timing),
-      next_marker_(timing.marker_interval) {}
+      next_marker_(kMarkerInterval) {}
 
 sim::SimTime SourceTask::current_lag() const {
   if (!has_pending_) return 0;
@@ -63,9 +68,9 @@ void SourceTask::RunOnce() {
 
   // A latency marker due before this record's arrival goes out first, with
   // its creation stamped at the due time so it accrues any backlog delay.
-  if (timing_.marker_interval > 0 && next_marker_ <= pending_arrival_) {
+  if (next_marker_ <= pending_arrival_) {
     StreamElement marker = dataflow::MakeLatencyMarker(next_marker_);
-    next_marker_ += timing_.marker_interval;
+    next_marker_ += kMarkerInterval;
     busy_until_ = now + spec_.record_cost;
     ForwardMarker(marker);
     MaybeSchedule();
@@ -103,8 +108,7 @@ void SourceTask::RunOnce() {
   Emit(e);
   hub_->RecordSourceEmit(now);
 
-  if (timing_.watermark_interval > 0 &&
-      now >= last_watermark_emit_ + timing_.watermark_interval) {
+  if (now >= last_watermark_emit_ + kWatermarkInterval) {
     last_watermark_emit_ = now;
     StreamElement w = dataflow::MakeWatermark(max_event_time_);
     BroadcastControl(w);

@@ -8,14 +8,6 @@
 
 namespace drrs::runtime {
 
-/// Timing knobs for source emission.
-struct SourceTiming {
-  /// Watermark emission period (0 disables watermarks).
-  sim::SimTime watermark_interval = sim::Millis(200);
-  /// Latency-marker insertion period (0 disables markers).
-  sim::SimTime marker_interval = sim::Millis(250);
-};
-
 /// Admission control over source emission (overload throttling). Installed
 /// by the overload controller; consulted once per data record. Markers,
 /// watermarks and control elements are exempt — throttling slows the data
@@ -42,8 +34,7 @@ class SourceTask : public Task {
              dataflow::InstanceId id, dataflow::OperatorId op,
              uint32_t subtask, const dataflow::KeySpace* key_space,
              metrics::MetricsHub* hub, bool check_invariants,
-             std::unique_ptr<dataflow::SourceGenerator> generator,
-             SourceTiming timing);
+             std::unique_ptr<dataflow::SourceGenerator> generator);
 
   /// Begin pumping the generator.
   void Start() { MaybeSchedule(); }
@@ -67,7 +58,6 @@ class SourceTask : public Task {
 
  private:
   std::unique_ptr<dataflow::SourceGenerator> generator_;
-  SourceTiming timing_;
 
   dataflow::StreamElement pending_;
   sim::SimTime pending_arrival_ = 0;

@@ -168,8 +168,6 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   // ---- emission helpers used by strategies and checkpointing ----
   /// Send a control element on every output channel of every edge.
   void BroadcastControl(const dataflow::StreamElement& element);
-  /// Send `element` to downstream subtask `target` of the (single) hash edge.
-  void SendOnHashEdge(uint32_t target, dataflow::StreamElement element);
   /// Stamp provenance and, when order checks are on, the next value of this
   /// task's emission counter. One counter for all keys suffices: it rises
   /// in emission order, so it also rises within every (sender, key)
@@ -203,9 +201,9 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   sim::SimTime busy_time() const { return busy_time_; }
   sim::SimTime current_watermark() const { return operator_watermark_; }
 
-  /// Charge `d` of CPU time to this task (state serialization and other
-  /// engine-side work performed on the task's thread).
-  void ConsumeProcessingTime(sim::SimTime d);
+  /// Charge this task the CPU time of (de)serializing `bytes` of migrating
+  /// state (part of the paper's inherent overhead L_o).
+  void ConsumeSerializationTime(uint64_t bytes);
 
   /// Arms the processing loop if work might be available.
   void MaybeSchedule();
@@ -228,7 +226,6 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   /// Pure congestion probe: no decongest-listener registration. Used by the
   /// trailing re-arm elision, which must not alter listener state.
   bool AnyOutputCongestedFast() const;
-  bool AllInputsEmpty() const;
   void EnterStall(metrics::StallReason reason);
   void ExitStall();
 

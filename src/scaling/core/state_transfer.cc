@@ -68,9 +68,11 @@ uint64_t StateTransfer::Enqueue(runtime::Task* from, net::Channel* rail,
 }
 
 void StateTransfer::EnableReliability(const ChunkRetryPolicy& policy,
-                                      metrics::MetricsHub* hub) {
+                                      metrics::MetricsHub* hub,
+                                      double bandwidth_bytes_per_us) {
   policy_ = policy;
   policy_.enabled = true;
+  bandwidth_bytes_per_us_ = bandwidth_bytes_per_us;
   hub_ = hub;
 }
 
@@ -92,7 +94,7 @@ void StateTransfer::ArmAckTimer(uint64_t id) {
       0, transit.rail->link_free_at() - sim_->now());
   auto wire_slack =
       busy + static_cast<sim::SimTime>(static_cast<double>(pending_bytes) /
-                                       policy_.timeout_bytes_per_us);
+                                       bandwidth_bytes_per_us_);
   sim_->ScheduleAfter(backoff + wire_slack, [this, id] { OnAckTimeout(id); });
 }
 

@@ -25,9 +25,6 @@ struct ChunkRetryPolicy {
   /// Base ack timeout; doubled per attempt up to `ack_timeout_max`.
   sim::SimTime ack_timeout_base = sim::Millis(20);
   sim::SimTime ack_timeout_max = sim::Millis(320);
-  /// Size-proportional slack: big chunks legitimately occupy the wire
-  /// longer. The default matches the modeled Gigabit link (125 bytes/µs).
-  double timeout_bytes_per_us = 125.0;
   /// Retransmissions per chunk before giving up (the chunk then surfaces as
   /// a transfer leak in the audit / scale-abort machinery).
   uint32_t max_attempts = 10;
@@ -86,9 +83,13 @@ class StateTransfer {
 
   /// Turn on per-chunk ack timeouts + retransmission and receiver-side
   /// duplicate-install suppression. `hub` (optional) receives the
-  /// chunk_retransmits / duplicate_installs_suppressed counters.
+  /// chunk_retransmits / duplicate_installs_suppressed counters. Each ack
+  /// timeout adds size-proportional slack at the nominal link bandwidth
+  /// `bandwidth_bytes_per_us`: big chunks legitimately occupy the wire
+  /// longer.
   void EnableReliability(const ChunkRetryPolicy& policy,
-                         metrics::MetricsHub* hub);
+                         metrics::MetricsHub* hub,
+                         double bandwidth_bytes_per_us);
 
   size_t in_transit_count() const { return in_transit_.size(); }
   /// Entries belonging to one scaling operation (leak check granularity).
@@ -142,6 +143,7 @@ class StateTransfer {
   /// idempotence filter for duplicated deliveries and late retransmissions.
   std::set<uint64_t> installed_;
   ChunkRetryPolicy policy_;
+  double bandwidth_bytes_per_us_ = 0;
   metrics::MetricsHub* hub_ = nullptr;
   uint64_t staging_bytes_ = 0;
 };

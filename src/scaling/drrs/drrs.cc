@@ -93,6 +93,10 @@ class DrrsTaskHook : public runtime::TaskHook {
 
 namespace {
 bool EagerHead(const StreamElement& e) { return e.IsControl() || e.rerouted; }
+
+/// Intra-channel lookahead depth of Scheduling::kInterIntra (the paper's
+/// 200-record buffer).
+constexpr size_t kIntraChannelBuffer = 200;
 }  // namespace
 
 /// Record Scheduling (Section III-B): inter-channel switching plus bounded
@@ -150,7 +154,7 @@ class DrrsInputHandler : public runtime::InputHandler {
         if (!ch->HasInput() || task->IsChannelBlocked(ch)) continue;
         if (ch->scaling_path()) continue;  // rail heads handled eagerly
         auto* queue = ch->mutable_input_queue();
-        size_t depth = std::min(queue->size(), options_->intra_channel_buffer);
+        size_t depth = std::min(queue->size(), kIntraChannelBuffer);
         for (size_t i = 0; i < depth; ++i) {
           const StreamElement& e = (*queue)[i];
           if (e.IsControl() || e.rerouted) break;  // never cross signals
@@ -388,8 +392,7 @@ void DrrsStrategy::PumpMigration(Task* src, dataflow::SubscaleId id) {
   dataflow::KeyGroupId kg = out.to_send.front();
   out.to_send.pop_front();
   uint64_t bytes = core_.session().SendKeyGroup(src, out.rail, kg, id);
-  src->ConsumeProcessingTime(static_cast<sim::SimTime>(
-      bytes / graph_->config().state_serialize_bytes_per_us));
+  src->ConsumeSerializationTime(bytes);
   hub_->scaling().RecordStateMigrated(id, kg, graph_->sim()->now());
   // Fluid migration: extract the next unit only once this one has left the
   // wire, so records of still-local units keep processing at the source.
@@ -464,8 +467,7 @@ void DrrsStrategy::OnRailElement(Task* dst, const StreamElement& e) {
       // a suppressed duplicate delivery): it must not advance this
       // subscale's bookkeeping.
       if (core_.session().Install(dst, e)) {
-        dst->ConsumeProcessingTime(static_cast<sim::SimTime>(
-            e.chunk_bytes / graph_->config().state_serialize_bytes_per_us));
+        dst->ConsumeSerializationTime(e.chunk_bytes);
         in.pending_key_groups.erase(e.key_group);
         dst->WakeUp();
       }

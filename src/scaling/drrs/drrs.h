@@ -33,7 +33,6 @@ struct DrrsOptions {
   bool decoupled_signals = true;
 
   Scheduling scheduling = Scheduling::kInterIntra;
-  size_t intra_channel_buffer = 200;
 
   /// Max key-groups per subscale; 0 disables Subscale Division (one subscale
   /// per migration path, Section III-C).

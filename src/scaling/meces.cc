@@ -14,8 +14,14 @@ using dataflow::StreamElement;
 using runtime::Task;
 
 namespace {
-uint32_t SubOf(dataflow::KeyT key, uint32_t fanout) {
-  return static_cast<uint32_t>(HashKey(key ^ 0x5BD1E995) % fanout);
+/// Sub-key-groups per key-group (Hierarchical State Organization).
+constexpr uint32_t kSubKeyGroupFanout = 4;
+/// Minimum hold time of an installed unit (see Unit::cooldown_until).
+constexpr sim::SimTime kUnitCooldown = sim::Millis(10);
+
+uint32_t SubOf(dataflow::KeyT key) {
+  return static_cast<uint32_t>(HashKey(key ^ 0x5BD1E995) %
+                               kSubKeyGroupFanout);
 }
 }  // namespace
 
@@ -41,29 +47,11 @@ class MecesTaskHook : public runtime::TaskHook {
   MecesStrategy* s_;
 };
 
-MecesStrategy::MecesStrategy(runtime::ExecutionGraph* graph, uint32_t fanout,
-                             sim::SimTime unit_cooldown)
+MecesStrategy::MecesStrategy(runtime::ExecutionGraph* graph)
     : ScalingStrategy(graph),
-      fanout_(fanout),
-      unit_cooldown_(unit_cooldown),
-      hook_(std::make_unique<MecesTaskHook>(this)) {
-  DRRS_CHECK(fanout_ > 0);
-}
+      hook_(std::make_unique<MecesTaskHook>(this)) {}
 
 MecesStrategy::~MecesStrategy() = default;
-
-MecesStrategy::UnitView MecesStrategy::DebugUnit(dataflow::KeyT key) const {
-  UnitView v;
-  dataflow::KeyGroupId kg = graph_->key_space().KeyGroupOf(key);
-  auto it = units_.find({kg, SubOf(key, fanout_)});
-  if (it == units_.end()) return v;
-  v.tracked = true;
-  v.location = it->second.location;
-  v.in_flight = it->second.in_flight;
-  v.fetch_pending = !it->second.waiters.empty();
-  v.cooldown_until = it->second.cooldown_until;
-  return v;
-}
 
 Status MecesStrategy::StartScale(const ScalePlan& plan) {
   DRRS_RETURN_NOT_OK(ValidatePlan(plan));
@@ -87,7 +75,7 @@ Status MecesStrategy::StartScale(const ScalePlan& plan) {
     Task* dst = graph_->instance(plan_.op, m.to);
     destination_[m.key_group] = dst->id();
     sources_of_state.insert(src->id());
-    for (uint32_t sub = 0; sub < fanout_; ++sub) {
+    for (uint32_t sub = 0; sub < kSubKeyGroupFanout; ++sub) {
       Unit unit;
       unit.location = src->id();
       units_[{m.key_group, sub}] = std::move(unit);
@@ -202,9 +190,9 @@ uint64_t MecesStrategy::TransferUnit(Task* holder, dataflow::KeyGroupId kg,
   }
   hub_->scaling().RecordUnitTransfer(kg, sub);
   uint64_t bytes = core_.session().SendSubKeyGroup(
-      holder, core_.rails().Open(holder, to), kg, sub, fanout_, 0, priority);
-  holder->ConsumeProcessingTime(static_cast<sim::SimTime>(
-      bytes / graph_->config().state_serialize_bytes_per_us));
+      holder, core_.rails().Open(holder, to), kg, sub, kSubKeyGroupFanout, 0,
+      priority);
+  holder->ConsumeSerializationTime(bytes);
   return bytes;
 }
 
@@ -218,8 +206,7 @@ bool MecesStrategy::HandleControl(Task* task, net::Channel* /*channel*/,
         task->WakeUp();
         return true;
       }
-      task->ConsumeProcessingTime(static_cast<sim::SimTime>(
-          e.chunk_bytes / graph_->config().state_serialize_bytes_per_us));
+      task->ConsumeSerializationTime(e.chunk_bytes);
       auto it = units_.find({e.key_group, e.sub_key_group});
       if (it != units_.end() && it->second.location == task->id()) {
         Unit& unit = it->second;
@@ -231,7 +218,7 @@ bool MecesStrategy::HandleControl(Task* task, net::Channel* /*channel*/,
         sim::SimTime usable_from =
             std::max(graph_->sim()->now(), task->busy_until());
         unit.hold_started = usable_from;
-        unit.cooldown_until = usable_from + unit_cooldown_;
+        unit.cooldown_until = usable_from + kUnitCooldown;
         if (!unit.waiters.empty() && !unit.serve_scheduled) {
           unit.serve_scheduled = true;
           dataflow::KeyGroupId kg = e.key_group;
@@ -299,7 +286,7 @@ bool MecesStrategy::HandleIsProcessable(Task* task, net::Channel* channel,
   if (channel != nullptr && channel->scaling_path()) return true;
   if (e.kind != ElementKind::kRecord) return true;
   dataflow::KeyGroupId kg = graph_->key_space().KeyGroupOf(e.key);
-  auto it = units_.find({kg, SubOf(e.key, fanout_)});
+  auto it = units_.find({kg, SubOf(e.key)});
   if (it == units_.end()) return true;  // key-group not migrating
   Unit& unit = it->second;
   // The unit must be assigned here AND its cells must have landed —
@@ -311,12 +298,12 @@ bool MecesStrategy::HandleIsProcessable(Task* task, net::Channel* channel,
     // bounded to 10 hold-times so contenders cannot starve.
     sim::SimTime now = graph_->sim()->now();
     unit.cooldown_until =
-        std::min(unit.hold_started + 10 * unit_cooldown_,
-                 std::max(unit.cooldown_until, now + unit_cooldown_));
+        std::min(unit.hold_started + 10 * kUnitCooldown,
+                 std::max(unit.cooldown_until, now + kUnitCooldown));
     return true;
   }
   // Fetch-on-Demand: request the unit with priority and suspend.
-  IssueFetch(task, kg, SubOf(e.key, fanout_));
+  IssueFetch(task, kg, SubOf(e.key));
   return false;
 }
 

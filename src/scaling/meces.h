@@ -25,25 +25,11 @@ namespace drrs::scaling {
 /// (the paper calls this out), but exactly-once is.
 class MecesStrategy : public ScalingStrategy {
  public:
-  MecesStrategy(runtime::ExecutionGraph* graph,
-                uint32_t sub_key_group_fanout = 4,
-                sim::SimTime unit_cooldown = sim::Millis(10));
+  explicit MecesStrategy(runtime::ExecutionGraph* graph);
   ~MecesStrategy() override;
 
   std::string name() const override { return "meces"; }
   Status StartScale(const ScalePlan& plan) override;
-
-  uint32_t fanout() const { return fanout_; }
-
-  /// Diagnostic view of the unit covering `key` (tests/tools only).
-  struct UnitView {
-    bool tracked = false;
-    dataflow::InstanceId location = 0;
-    bool in_flight = false;
-    bool fetch_pending = false;
-    sim::SimTime cooldown_until = 0;
-  };
-  UnitView DebugUnit(dataflow::KeyT key) const;
 
  private:
   friend class MecesTaskHook;
@@ -91,8 +77,6 @@ class MecesStrategy : public ScalingStrategy {
     return graph_->task(id);
   }
 
-  uint32_t fanout_;
-  sim::SimTime unit_cooldown_;
   std::unique_ptr<runtime::TaskHook> hook_;
 
   ScalePlan plan_;

@@ -146,8 +146,7 @@ bool OtfsStrategy::HandleControl(Task* task, net::Channel* channel,
         task->WakeUp();
         return true;
       }
-      task->ConsumeProcessingTime(static_cast<sim::SimTime>(
-          e.chunk_bytes / graph_->config().state_serialize_bytes_per_us));
+      task->ConsumeSerializationTime(e.chunk_bytes);
       DstCtx& d = dst_[task->id()];
       if (mode_ == MigrationMode::kAllAtOnce &&
           d.open_paths.count(e.from_instance) > 0) {
@@ -208,8 +207,7 @@ void OtfsStrategy::PumpMigration(Task* src) {
     sim::SimTime now = graph_->sim()->now();
     hub_->scaling().RecordFirstMigration(0, now);
     uint64_t bytes = core_.session().SendKeyGroup(src, p.rail, kg, 0);
-    src->ConsumeProcessingTime(static_cast<sim::SimTime>(
-        bytes / graph_->config().state_serialize_bytes_per_us));
+    src->ConsumeSerializationTime(bytes);
     hub_->scaling().RecordStateMigrated(0, kg, now);
     sim::SimTime delay =
         mode_ == MigrationMode::kAllAtOnce

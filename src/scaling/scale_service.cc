@@ -5,9 +5,11 @@
 
 #include "common/logging.h"
 #include "observe/observer.h"
+#include "scaling/drrs/drrs.h"
 #include "scaling/meces.h"
 #include "scaling/otfs.h"
 #include "scaling/planner.h"
+#include "scaling/stop_restart.h"
 #include "scaling/unbound.h"
 
 namespace drrs::scaling {
@@ -39,11 +41,10 @@ const char* MechanismName(Mechanism mechanism) {
 }
 
 std::unique_ptr<ScalingStrategy> MakeMechanismStrategy(
-    Mechanism mechanism, runtime::ExecutionGraph* graph,
-    const ScaleService::Options& options) {
+    Mechanism mechanism, runtime::ExecutionGraph* graph) {
   switch (mechanism) {
     case Mechanism::kDrrs:
-      return std::make_unique<DrrsStrategy>(graph, options.drrs,
+      return std::make_unique<DrrsStrategy>(graph, FullDrrsOptions(),
                                             MechanismName(mechanism));
     case Mechanism::kDrrsDR:
       return std::make_unique<DrrsStrategy>(graph, DrOnlyOptions(),
@@ -58,9 +59,7 @@ std::unique_ptr<ScalingStrategy> MakeMechanismStrategy(
       return std::make_unique<DrrsStrategy>(graph, MegaphoneOptions(),
                                             MechanismName(mechanism));
     case Mechanism::kMeces:
-      return std::make_unique<MecesStrategy>(
-          graph, options.meces_sub_key_group_fanout,
-          options.meces_unit_cooldown);
+      return std::make_unique<MecesStrategy>(graph);
     case Mechanism::kOtfsFluid:
       return std::make_unique<OtfsStrategy>(
           graph, OtfsStrategy::MigrationMode::kFluid);
@@ -70,8 +69,7 @@ std::unique_ptr<ScalingStrategy> MakeMechanismStrategy(
     case Mechanism::kUnbound:
       return std::make_unique<UnboundStrategy>(graph);
     case Mechanism::kStopRestart:
-      return std::make_unique<StopRestartStrategy>(graph,
-                                                   options.stop_restart);
+      return std::make_unique<StopRestartStrategy>(graph);
   }
   return nullptr;
 }
@@ -96,8 +94,7 @@ ScalingStrategy* ScaleService::GetOrCreate(dataflow::OperatorId op) {
   auto it = strategies_.find(op);
   if (it == strategies_.end()) {
     it = strategies_
-             .emplace(op, MakeMechanismStrategy(options_.mechanism, graph_,
-                                                options_))
+             .emplace(op, MakeMechanismStrategy(options_.mechanism, graph_))
              .first;
     it->second->set_idle_listener([this]() { OnStrategyIdle(); });
     if (options_.chunk_retry.enabled) {
@@ -171,33 +168,11 @@ Status ScaleService::Admit(dataflow::OperatorId op, uint32_t target,
   }
   ScalePlan plan =
       options_.use_balanced_plan
-          ? PlanBalancedRescale(graph_, op, target, options_.stickiness)
+          ? PlanBalancedRescale(graph_, op, target)
           : PlanRescale(graph_, op, target);
   Status st = strategy->StartScale(plan);
   if (st.ok()) ArmDeadline(op, target);
   return st;
-}
-
-sim::SimTime ScaleService::StageBudget(ScaleStage stage) const {
-  const Options::RetryPolicy& retry = options_.retry;
-  sim::SimTime budget = 0;
-  switch (stage) {
-    case ScaleStage::kIdle:
-      break;
-    case ScaleStage::kAdmission:
-      budget = retry.admission_budget;
-      break;
-    case ScaleStage::kBarrier:
-      budget = retry.barrier_budget;
-      break;
-    case ScaleStage::kTransfer:
-      budget = retry.transfer_budget;
-      break;
-    case ScaleStage::kCompletion:
-      budget = retry.completion_budget;
-      break;
-  }
-  return budget > 0 ? budget : retry.progress_deadline;
 }
 
 void ScaleService::ArmDeadline(dataflow::OperatorId op, uint32_t target) {
@@ -207,7 +182,7 @@ void ScaleService::ArmDeadline(dataflow::OperatorId op, uint32_t target) {
   ScalingStrategy* strategy = strategy_for(op);
   w.armed_stage = strategy ? strategy->stage() : ScaleStage::kAdmission;
   uint64_t epoch = ++w.epoch;
-  graph_->sim()->ScheduleAfter(StageBudget(w.armed_stage),
+  graph_->sim()->ScheduleAfter(options_.retry.progress_deadline,
                                [this, op, epoch]() { OnDeadline(op, epoch); });
 }
 
@@ -220,9 +195,8 @@ void ScaleService::OnDeadline(dataflow::OperatorId op, uint64_t epoch) {
     w.attempts = 0;  // finished within its deadline
     return;
   }
-  // Per-stage budgets: an operation that advanced to a later protocol stage
-  // since the deadline was armed has made progress — give the new stage its
-  // own budget instead of aborting mid-flight.
+  // An operation that advanced to a later protocol stage since the deadline
+  // was armed has made progress — re-arm instead of aborting mid-flight.
   ScaleStage stage = strategy->stage();
   if (stage > w.armed_stage) {
     DRRS_OBSERVE(graph_->sim(),
@@ -318,12 +292,6 @@ overload::CircuitBreaker* ScaleService::BreakerFor(dataflow::OperatorId op) {
              .first;
   }
   return &it->second;
-}
-
-const overload::CircuitBreaker* ScaleService::breaker_for(
-    dataflow::OperatorId op) const {
-  auto it = breakers_.find(op);
-  return it == breakers_.end() ? nullptr : &it->second;
 }
 
 void ScaleService::RecordBreakerFailure(dataflow::OperatorId op) {

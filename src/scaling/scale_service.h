@@ -6,8 +6,6 @@
 #include <memory>
 
 #include "overload/circuit_breaker.h"
-#include "scaling/drrs/drrs.h"
-#include "scaling/stop_restart.h"
 #include "scaling/strategy.h"
 
 namespace drrs::scaling {
@@ -52,25 +50,19 @@ class ScaleService {
  public:
   struct Options {
     Mechanism mechanism = Mechanism::kDrrs;
-    /// Engine options for Mechanism::kDrrs. The ablation and Megaphone
-    /// mechanisms always use their presets.
-    DrrsOptions drrs;
-    /// Meces port knobs (Mechanism::kMeces).
-    uint32_t meces_sub_key_group_fanout = 4;
-    sim::SimTime meces_unit_cooldown = sim::Millis(10);
-    /// Stop-Checkpoint-Restart knobs (Mechanism::kStopRestart).
-    StopRestartStrategy::Options stop_restart;
     /// Use Planner::BalancedPlan over live key counts instead of uniform
     /// repartitioning. Superseding requests fall back to the uniform target
     /// (balanced planning needs quiescent ownership).
     bool use_balanced_plan = false;
-    double stickiness = 0.3;
     /// Scale-abort-and-retry watchdog. When enabled, every started
     /// operation gets a progress deadline; an operation still running when
     /// it expires is aborted (roll-forward, ScalingStrategy::CancelScale)
-    /// and re-admitted after an exponential backoff. A request that burns
-    /// through `max_attempts` aborts is cancelled with a structured log
-    /// line (and counted in RecoveryMetrics::scale_cancellations).
+    /// and re-admitted after an exponential backoff. An operation that
+    /// reached a later ScalingStrategy::stage() than when the deadline was
+    /// armed has made progress: the deadline re-arms instead. A request
+    /// that burns through `max_attempts` aborts is cancelled with a
+    /// structured log line (and counted in
+    /// RecoveryMetrics::scale_cancellations).
     struct RetryPolicy {
       bool enabled = false;
       sim::SimTime progress_deadline = sim::Seconds(20);
@@ -79,18 +71,6 @@ class ScaleService {
       uint32_t max_attempts = 3;
       sim::SimTime retry_backoff = sim::Millis(200);
       double backoff_factor = 2.0;
-      /// Optional per-stage budgets refining the single progress deadline
-      /// (watchdog hierarchy: admission -> barrier -> transfer ->
-      /// completion). When the budget of the operation's current
-      /// ScalingStrategy::stage() is > 0, the deadline is armed with that
-      /// budget, and a watchdog firing that finds the operation in a *later*
-      /// stage than when it armed counts as progress: the deadline re-arms
-      /// with the new stage's budget instead of aborting. A <= 0 budget
-      /// falls back to `progress_deadline` (the legacy single deadline).
-      sim::SimTime admission_budget = 0;
-      sim::SimTime barrier_budget = 0;
-      sim::SimTime transfer_budget = 0;
-      sim::SimTime completion_budget = 0;
     };
     RetryPolicy retry;
     /// Circuit breaker over scale admission (one breaker per operator):
@@ -142,10 +122,6 @@ class ScaleService {
     pressure_provider_ = std::move(provider);
   }
 
-  /// The admission breaker of `op` (null when the policy is disabled or no
-  /// request for `op` was ever seen). Diagnostic / test access.
-  const overload::CircuitBreaker* breaker_for(dataflow::OperatorId op) const;
-
  private:
   /// Per-operator watchdog state for Options::RetryPolicy.
   struct Watch {
@@ -153,7 +129,7 @@ class ScaleService {
     uint32_t attempts = 0;  ///< aborts charged to the current request
     uint32_t target = 0;    ///< target parallelism being watched
     /// Stage observed when the current deadline was armed; a later stage at
-    /// expiry means progress (per-stage budgets re-arm instead of aborting).
+    /// expiry means progress (the deadline re-arms instead of aborting).
     ScaleStage armed_stage = ScaleStage::kIdle;
     /// An abort is in flight: the next idle notification is the abort's own
     /// teardown and must not count as a breaker success.
@@ -171,9 +147,6 @@ class ScaleService {
   void ArmDeadline(dataflow::OperatorId op, uint32_t target);
   void OnDeadline(dataflow::OperatorId op, uint64_t epoch);
   void RetryAfterAbort(dataflow::OperatorId op);
-  /// Deadline for `stage` under the retry policy (per-stage budget when set,
-  /// else the single progress deadline).
-  sim::SimTime StageBudget(ScaleStage stage) const;
   /// The admission breaker of `op`, created on first use; null when the
   /// breaker policy is disabled.
   overload::CircuitBreaker* BreakerFor(dataflow::OperatorId op);
@@ -199,8 +172,7 @@ class ScaleService {
 /// Build one fresh strategy executing `mechanism` (the factory behind
 /// ScaleService; the experiment harness shares it).
 std::unique_ptr<ScalingStrategy> MakeMechanismStrategy(
-    Mechanism mechanism, runtime::ExecutionGraph* graph,
-    const ScaleService::Options& options);
+    Mechanism mechanism, runtime::ExecutionGraph* graph);
 
 }  // namespace drrs::scaling
 

@@ -10,9 +10,12 @@ namespace drrs::scaling {
 
 using runtime::Task;
 
-StopRestartStrategy::StopRestartStrategy(runtime::ExecutionGraph* graph,
-                                         Options options)
-    : ScalingStrategy(graph), options_(options) {}
+namespace {
+/// Snapshot/restore throughput (bytes per µs), applied twice.
+constexpr double kStateRateBytesPerUs = 250.0;
+/// Fixed redeploy/restart cost.
+constexpr sim::SimTime kRedeployCost = sim::Seconds(2);
+}  // namespace
 
 Status StopRestartStrategy::StartScale(const ScalePlan& plan) {
   DRRS_RETURN_NOT_OK(ValidatePlan(plan));
@@ -29,8 +32,8 @@ Status StopRestartStrategy::StartScale(const ScalePlan& plan) {
     if (t->state() != nullptr) total_bytes += t->state()->TotalBytes();
   }
   sim::SimTime serialize = static_cast<sim::SimTime>(
-      static_cast<double>(total_bytes) / options_.state_rate_bytes_per_us);
-  last_downtime_ = 2 * serialize + options_.redeploy_cost;
+      static_cast<double>(total_bytes) / kStateRateBytesPerUs);
+  last_downtime_ = 2 * serialize + kRedeployCost;
 
   ScalePlan captured = plan;
   graph_->sim()->ScheduleAfter(last_downtime_, [this, captured]() {

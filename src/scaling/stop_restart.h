@@ -12,21 +12,13 @@ namespace drrs::scaling {
 /// configuration, restore, resume.
 ///
 /// Downtime is modeled from the global state volume (serialize + restore at
-/// a configurable rate) plus a fixed redeployment cost; during the halt the
-/// sources stop draining the feed, so latency accrues exactly as with a real
+/// a fixed rate) plus a fixed redeployment cost; during the halt the sources
+/// stop draining the feed, so latency accrues exactly as with a real
 /// restart.
 class StopRestartStrategy : public ScalingStrategy {
  public:
-  struct Options {
-    /// Snapshot/restore throughput (bytes per µs). Applied twice.
-    double state_rate_bytes_per_us = 250.0;
-    /// Fixed redeploy/restart cost.
-    sim::SimTime redeploy_cost = sim::Seconds(2);
-  };
-
   explicit StopRestartStrategy(runtime::ExecutionGraph* graph)
-      : StopRestartStrategy(graph, Options()) {}
-  StopRestartStrategy(runtime::ExecutionGraph* graph, Options options);
+      : ScalingStrategy(graph) {}
 
   std::string name() const override { return "stop-restart"; }
   Status StartScale(const ScalePlan& plan) override;
@@ -39,7 +31,6 @@ class StopRestartStrategy : public ScalingStrategy {
  private:
   void Restore(const ScalePlan& plan);
 
-  Options options_;
   sim::SimTime last_downtime_ = 0;
 };
 

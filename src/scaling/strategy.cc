@@ -45,26 +45,11 @@ std::vector<double> KeyGroupWeights(runtime::ExecutionGraph* graph,
 
 ScalePlan PlanBalancedRescale(runtime::ExecutionGraph* graph,
                               dataflow::OperatorId op,
-                              uint32_t new_parallelism, double stickiness) {
+                              uint32_t new_parallelism) {
+  constexpr double kStickiness = 0.3;
   return Planner::BalancedPlan(op, CurrentAssignment(graph, op),
                                KeyGroupWeights(graph, op), new_parallelism,
-                               stickiness);
-}
-
-const char* ScaleStageName(ScaleStage stage) {
-  switch (stage) {
-    case ScaleStage::kIdle:
-      return "idle";
-    case ScaleStage::kAdmission:
-      return "admission";
-    case ScaleStage::kBarrier:
-      return "barrier";
-    case ScaleStage::kTransfer:
-      return "transfer";
-    case ScaleStage::kCompletion:
-      return "completion";
-  }
-  return "?";
+                               kStickiness);
 }
 
 ScaleStage ScalingStrategy::stage() const {

@@ -29,16 +29,16 @@ ScalePlan PlanRescale(runtime::ExecutionGraph* graph, dataflow::OperatorId op,
 std::vector<double> KeyGroupWeights(runtime::ExecutionGraph* graph,
                                     dataflow::OperatorId op);
 
-/// Load-aware rescale plan from live ownership (see Planner::BalancedPlan).
+/// Load-aware rescale plan from live ownership (see Planner::BalancedPlan;
+/// stickiness 0.3).
 ScalePlan PlanBalancedRescale(runtime::ExecutionGraph* graph,
                               dataflow::OperatorId op,
-                              uint32_t new_parallelism,
-                              double stickiness = 0.3);
+                              uint32_t new_parallelism);
 
 /// Coarse progress stage of a scaling operation, ordered by protocol
-/// advancement. The watchdog's per-stage deadline budgets key off this: an
-/// operation that moved to a later stage since the deadline was armed has
-/// made progress and earns a fresh budget instead of an abort.
+/// advancement. The scale-retry watchdog keys off this: an operation that
+/// moved to a later stage since its progress deadline was armed has made
+/// progress and earns a fresh deadline instead of an abort.
 enum class ScaleStage : uint8_t {
   kIdle = 0,    ///< no operation in flight
   kAdmission,   ///< started; no barriers opened, no state sent yet
@@ -46,8 +46,6 @@ enum class ScaleStage : uint8_t {
   kTransfer,    ///< state chunks on the wire
   kCompletion,  ///< everything sent and installed; confirm/teardown pending
 };
-
-const char* ScaleStageName(ScaleStage stage);
 
 /// \brief Interface of an executable scaling mechanism.
 ///
@@ -111,7 +109,8 @@ class ScalingStrategy {
 
   /// Turn on per-chunk ack/retransmission for this strategy's transfers.
   void EnableChunkRetry(const ChunkRetryPolicy& policy) {
-    core_.transfer().EnableReliability(policy, hub_);
+    core_.transfer().EnableReliability(
+        policy, hub_, graph_->config().net.bandwidth_bytes_per_us);
   }
 
   /// Invoked whenever the strategy transitions to idle (end of EndScale).

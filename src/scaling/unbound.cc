@@ -79,8 +79,7 @@ void UnboundStrategy::PumpCopy(Task* src) {
     sim::SimTime now = graph_->sim()->now();
     hub_->scaling().RecordFirstMigration(0, now);
     uint64_t bytes = core_.session().SendKeyGroup(src, p.rail, kg, 0);
-    src->ConsumeProcessingTime(static_cast<sim::SimTime>(
-        bytes / graph_->config().state_serialize_bytes_per_us));
+    src->ConsumeSerializationTime(bytes);
     hub_->scaling().RecordStateMigrated(0, kg, now);
     auto delay = static_cast<sim::SimTime>(
         static_cast<double>(bytes) /

@@ -9,8 +9,8 @@
 //     recovery path fires and the run still completes with every record
 //     accounted for.
 //  2. Control-plane tests drive the watchdog: a deadline abort followed by
-//     a successful retry, and budget exhaustion degrading to a logged
-//     cancellation.
+//     a successful retry, budget exhaustion degrading to a logged
+//     cancellation, and stage progress re-arming the deadline.
 //  3. A chaos matrix runs every scaling mechanism against every fault class
 //     under the invariant audit (DRRS_OBSERVE builds) and asserts zero
 //     violations — recovery must be invisible to the correctness checks.
@@ -278,6 +278,26 @@ TEST(ScaleRetry, GenerousDeadlineNeverFires) {
   c.scale_retry.progress_deadline = sim::Seconds(60);
   harness::ExperimentResult r = RunPipeline(c);
 
+  EXPECT_EQ(r.recovery.scale_aborts, 0u);
+  EXPECT_EQ(r.recovery.scale_retries, 0u);
+  EXPECT_EQ(r.recovery.scale_cancellations, 0u);
+  EXPECT_EQ(r.sink_records, r.source_records);
+  ExpectAuditClean(r, true);
+}
+
+TEST(ScaleRetry, StageProgressReArmsTheDeadline) {
+  harness::ExperimentConfig c = BaseConfig(harness::SystemKind::kDrrs);
+  // This migration opens its subscales at once (kBarrier), has state on the
+  // wire from ~0.5 ms (kTransfer) and finishes at ~7.4 ms. The 5 ms
+  // deadline expires mid-transfer: the operation advanced a stage since the
+  // deadline was armed, so the watchdog re-arms instead of aborting, and
+  // the second deadline finds it done.
+  c.scale_retry.enabled = true;
+  c.scale_retry.progress_deadline = sim::Millis(5);
+  harness::ExperimentResult r = RunPipeline(c);
+
+  EXPECT_GT(r.mechanism_duration, c.scale_retry.progress_deadline);
+  EXPECT_LT(r.mechanism_duration, 2 * c.scale_retry.progress_deadline);
   EXPECT_EQ(r.recovery.scale_aborts, 0u);
   EXPECT_EQ(r.recovery.scale_retries, 0u);
   EXPECT_EQ(r.recovery.scale_cancellations, 0u);

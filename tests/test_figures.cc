@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
@@ -155,6 +156,7 @@ TEST(FigureCellAllocs, MarginalAllocsPerRecordStayUnderCeilings) {
           harness::RunExperiment(workload, cell.config).source_records;
       return HeapSample{heap.count().calls, records};
     });
+    std::printf("%s: %.3f marginal allocs/record\n", id, marginal);
     EXPECT_TRUE(UnderCeiling(marginal, ceiling)) << id;
   }
 }
