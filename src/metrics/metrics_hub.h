@@ -39,7 +39,12 @@ class ScalingMetrics {
   /// Counts a transfer of a migration unit (Meces back-and-forth tracking).
   void RecordUnitTransfer(dataflow::KeyGroupId kg, uint32_t sub_key_group);
 
-  void RecordScaleStart(sim::SimTime t) { scale_start_ = t; }
+  /// Keeps the first start: a watchdog retry or superseding operation
+  /// begins a new ScaleContext scale, but the mechanism's span still runs
+  /// from the first attempt to the last end.
+  void RecordScaleStart(sim::SimTime t) {
+    if (scale_start_ < 0) scale_start_ = t;
+  }
   void RecordScaleEnd(sim::SimTime t) { scale_end_ = t; }
 
   // -- suspension --
@@ -230,8 +235,8 @@ class MetricsHub {
   const RateCounter& source_rate() const { return source_rate_; }
   const RateCounter& sink_rate() const { return sink_rate_; }
 
-  // -- total keyed-state footprint (periodic samples; each sample is O(1)
-  //    per backend thanks to the incremental accounting in KeyedStateBackend)
+  // -- total keyed-state footprint (periodic samples; each sample sums the
+  //    cells' nominal_bytes of every backend when it is taken)
   void RecordStateBytes(sim::SimTime t, uint64_t bytes) {
     state_bytes_.Push(t, static_cast<double>(bytes));
   }

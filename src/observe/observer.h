@@ -155,11 +155,6 @@ class Observer {
   /// cancellation from an abort-and-retry.
   virtual void OnScaleWatchdog(dataflow::OperatorId /*op*/,
                                uint32_t /*attempt*/, bool /*cancelled*/) {}
-  /// Watchdog re-armed without abort: the operation advanced from stage
-  /// `from_stage` to `to_stage` (scaling::ScaleStage ordinals) within its
-  /// budget.
-  virtual void OnScaleStageProgress(dataflow::OperatorId /*op*/,
-                                    int /*from_stage*/, int /*to_stage*/) {}
 
   // ---- telemetry (telemetry::TelemetryRegistry) ----
 

@@ -50,7 +50,6 @@ uint64_t StateTransfer::Enqueue(runtime::Task* from, net::Channel* rail,
   transit.state = std::move(state);
   transit.whole_group = whole;
   transit.scale = proto.scale_id;
-  ++enqueued_[proto.scale_id];
   transit.chunk = chunk;
   transit.rail = rail;
   transit.to = rail->receiver_id();
@@ -159,6 +158,7 @@ void StateTransfer::InstallCells(runtime::Task* to, Transit* transit) {
   } else {
     to->state()->MergeCells(std::move(transit->state));
   }
+  ++install_count_;
 }
 
 bool StateTransfer::Install(runtime::Task* to, const StreamElement& chunk) {
@@ -251,11 +251,6 @@ size_t StateTransfer::in_transit_count(dataflow::ScaleId scale) const {
     if (transit.scale == scale) ++n;
   }
   return n;
-}
-
-uint64_t StateTransfer::enqueued_count(dataflow::ScaleId scale) const {
-  auto it = enqueued_.find(scale);
-  return it == enqueued_.end() ? 0 : it->second;
 }
 
 }  // namespace drrs::scaling

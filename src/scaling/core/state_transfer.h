@@ -94,10 +94,9 @@ class StateTransfer {
   size_t in_transit_count() const { return in_transit_.size(); }
   /// Entries belonging to one scaling operation (leak check granularity).
   size_t in_transit_count(dataflow::ScaleId scale) const;
-  /// Chunks ever enqueued for one scaling operation (monotone; feeds the
-  /// watchdog's stage detection: enqueued > 0 with nothing in transit means
-  /// the transfer stage finished).
-  uint64_t enqueued_count(dataflow::ScaleId scale) const;
+  /// Chunks ever installed, over the wire or by ForceComplete (monotone;
+  /// the scale-retry watchdog reads growth as progress).
+  uint64_t install_count() const { return install_count_; }
 
   /// Sender-side migration footprint: modeled bytes of the chunks currently
   /// in transit. The bytes are counted, never allocated (state sizes are
@@ -126,12 +125,10 @@ class StateTransfer {
   };
   /// Install `transit`'s cells at `to`: whole-key-group chunks acquire
   /// ownership, sub-key-group chunks merge cells only.
-  static void InstallCells(runtime::Task* to, Transit* transit);
+  void InstallCells(runtime::Task* to, Transit* transit);
   /// Ordered map: AbortScale and the per-scale count iterate it, and a
   /// decision path must not depend on hash-bucket order.
   std::map<uint64_t, Transit> in_transit_;
-  /// Per-scale total of chunks ever enqueued (see enqueued_count()).
-  std::map<dataflow::ScaleId, uint64_t> enqueued_;
   /// Simulator of the graph the chunks travel in, captured at first Enqueue
   /// (audit-hook access for AbortScale, which has no task handle).
   sim::Simulator* sim_ = nullptr;
@@ -146,6 +143,7 @@ class StateTransfer {
   double bandwidth_bytes_per_us_ = 0;
   metrics::MetricsHub* hub_ = nullptr;
   uint64_t staging_bytes_ = 0;
+  uint64_t install_count_ = 0;
 };
 
 /// \brief View of a StateTransfer bound to one scaling operation: the

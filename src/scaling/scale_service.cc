@@ -180,7 +180,7 @@ void ScaleService::ArmDeadline(dataflow::OperatorId op, uint32_t target) {
   Watch& w = watches_[op];
   w.target = target;
   ScalingStrategy* strategy = strategy_for(op);
-  w.armed_stage = strategy ? strategy->stage() : ScaleStage::kAdmission;
+  w.armed_progress = strategy ? strategy->progress() : 0;
   uint64_t epoch = ++w.epoch;
   graph_->sim()->ScheduleAfter(options_.retry.progress_deadline,
                                [this, op, epoch]() { OnDeadline(op, epoch); });
@@ -195,13 +195,9 @@ void ScaleService::OnDeadline(dataflow::OperatorId op, uint64_t epoch) {
     w.attempts = 0;  // finished within its deadline
     return;
   }
-  // An operation that advanced to a later protocol stage since the deadline
-  // was armed has made progress — re-arm instead of aborting mid-flight.
-  ScaleStage stage = strategy->stage();
-  if (stage > w.armed_stage) {
-    DRRS_OBSERVE(graph_->sim(),
-                 OnScaleStageProgress(op, static_cast<int>(w.armed_stage),
-                                      static_cast<int>(stage)));
+  // An operation that installed state since the deadline was armed has
+  // made progress — re-arm instead of aborting mid-flight.
+  if (strategy->progress() > w.armed_progress) {
     ArmDeadline(op, w.target);
     return;
   }

@@ -58,9 +58,9 @@ class ScaleService {
     /// operation gets a progress deadline; an operation still running when
     /// it expires is aborted (roll-forward, ScalingStrategy::CancelScale)
     /// and re-admitted after an exponential backoff. An operation that
-    /// reached a later ScalingStrategy::stage() than when the deadline was
-    /// armed has made progress: the deadline re-arms instead. A request
-    /// that burns through `max_attempts` aborts is cancelled with a
+    /// installed state since the deadline was armed (ScalingStrategy::
+    /// progress() grew) has made progress: the deadline re-arms instead. A
+    /// request that burns through `max_attempts` aborts is cancelled with a
     /// structured log line (and counted in
     /// RecoveryMetrics::scale_cancellations).
     struct RetryPolicy {
@@ -128,9 +128,9 @@ class ScaleService {
     uint64_t epoch = 0;     ///< invalidates stale deadline callbacks
     uint32_t attempts = 0;  ///< aborts charged to the current request
     uint32_t target = 0;    ///< target parallelism being watched
-    /// Stage observed when the current deadline was armed; a later stage at
-    /// expiry means progress (the deadline re-arms instead of aborting).
-    ScaleStage armed_stage = ScaleStage::kIdle;
+    /// ScalingStrategy::progress() when the current deadline was armed; a
+    /// larger count at expiry re-arms the deadline instead of aborting.
+    uint64_t armed_progress = 0;
     /// An abort is in flight: the next idle notification is the abort's own
     /// teardown and must not count as a breaker success.
     bool abort_pending = false;

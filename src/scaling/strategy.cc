@@ -52,16 +52,6 @@ ScalePlan PlanBalancedRescale(runtime::ExecutionGraph* graph,
                                kStickiness);
 }
 
-ScaleStage ScalingStrategy::stage() const {
-  if (done()) return ScaleStage::kIdle;
-  const dataflow::ScaleId scale = core_.scale_id();
-  const StateTransfer& transfer = core_.transfer();
-  if (transfer.in_transit_count(scale) > 0) return ScaleStage::kTransfer;
-  if (transfer.enqueued_count(scale) > 0) return ScaleStage::kCompletion;
-  if (!core_.open_subscales().empty()) return ScaleStage::kBarrier;
-  return ScaleStage::kAdmission;
-}
-
 bool ScalingStrategy::CancelScale(sim::SimTime grace,
                                   std::function<void(bool)> on_done) {
   if (!core_.active()) {

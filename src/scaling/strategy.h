@@ -35,18 +35,6 @@ ScalePlan PlanBalancedRescale(runtime::ExecutionGraph* graph,
                               dataflow::OperatorId op,
                               uint32_t new_parallelism);
 
-/// Coarse progress stage of a scaling operation, ordered by protocol
-/// advancement. The scale-retry watchdog keys off this: an operation that
-/// moved to a later stage since its progress deadline was armed has made
-/// progress and earns a fresh deadline instead of an abort.
-enum class ScaleStage : uint8_t {
-  kIdle = 0,    ///< no operation in flight
-  kAdmission,   ///< started; no barriers opened, no state sent yet
-  kBarrier,     ///< subscales open, waiting on barrier propagation
-  kTransfer,    ///< state chunks on the wire
-  kCompletion,  ///< everything sent and installed; confirm/teardown pending
-};
-
 /// \brief Interface of an executable scaling mechanism.
 ///
 /// A strategy is constructed idle; StartScale begins one scaling operation
@@ -76,10 +64,11 @@ class ScalingStrategy {
   /// True when no scaling operation is in flight.
   bool done() const { return !core_.active(); }
 
-  /// Coarse progress stage of the in-flight operation, derived from the
-  /// shared core (open subscales + transfer registry), so every mechanism
-  /// gets it without protocol-specific plumbing.
-  ScaleStage stage() const;
+  /// Monotone progress count: state chunks this strategy's transfers have
+  /// installed, forced installs included. The scale-retry watchdog re-arms
+  /// instead of aborting when it grew since the deadline was armed; every
+  /// mechanism gets it from the shared core without protocol plumbing.
+  uint64_t progress() const { return core_.transfer().install_count(); }
 
   /// Whether StartScale on a busy strategy supersedes the in-flight
   /// operation (Section IV-B) instead of failing.

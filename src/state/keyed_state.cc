@@ -115,61 +115,23 @@ void GroupStore::Clear() {
 StateCell* KeyedStateBackend::GetOrCreate(dataflow::KeyGroupId kg,
                                           dataflow::KeyT key) {
   DRRS_CHECK(kg < num_key_groups_);
-  StateCell* cell = groups_[kg].FindOrInsert(key).first;
-  // Pessimistic journal entry: the caller holds a mutable pointer and may
-  // grow/shrink the cell before the next accounting read. A fresh cell has
-  // acct_bytes == 0, so the flush also picks up its initial footprint. The
-  // journaled bit keeps a hot cell from piling up duplicate entries.
-  if (!cell->journaled) {
-    cell->journaled = true;
-    touched_.emplace_back(kg, cell);
-  }
-  return cell;
+  return groups_[kg].FindOrInsert(key).first;
 }
 
 StateCell* KeyedStateBackend::Get(dataflow::KeyGroupId kg,
                                   dataflow::KeyT key) {
   DRRS_CHECK(kg < num_key_groups_);
-  StateCell* cell = groups_[kg].Find(key);
-  if (cell == nullptr) return nullptr;
-  if (!cell->journaled) {
-    cell->journaled = true;
-    touched_.emplace_back(kg, cell);
-  }
-  return cell;
-}
-
-void KeyedStateBackend::FlushAccounting() const {
-  for (const auto& [kg, cell] : touched_) {
-    group_bytes_[kg] += cell->nominal_bytes - cell->acct_bytes;
-    cell->acct_bytes = cell->nominal_bytes;
-    cell->journaled = false;
-  }
-  touched_.clear();
-}
-
-void KeyedStateBackend::DebugRecount() const {
-  for (dataflow::KeyGroupId kg = 0; kg < num_key_groups_; ++kg) {
-    uint64_t actual = 0;
-    groups_[kg].ForEach([&](dataflow::KeyT, const StateCell& cell) {
-      actual += cell.nominal_bytes;
-    });
-    DRRS_CHECK(actual == group_bytes_[kg])
-        << "state accounting drift in key-group " << kg << ": counter says "
-        << group_bytes_[kg] << ", rescan says " << actual;
-  }
+  return groups_[kg].Find(key);
 }
 
 KeyGroupState KeyedStateBackend::ExtractKeyGroup(dataflow::KeyGroupId kg) {
   DRRS_CHECK(kg < num_key_groups_);
-  FlushAccounting();
   KeyGroupState out;
   out.key_group = kg;
   groups_[kg].ForEach([&](dataflow::KeyT key, StateCell& cell) {
     out.cells.emplace(key, std::move(cell));
   });
   groups_[kg].Clear();
-  group_bytes_[kg] = 0;
   owned_.erase(kg);
   return out;
 }
@@ -179,14 +141,12 @@ KeyGroupState KeyedStateBackend::ExtractSubKeyGroup(dataflow::KeyGroupId kg,
                                                     uint32_t fanout) {
   DRRS_CHECK(kg < num_key_groups_);
   DRRS_CHECK(fanout > 0 && sub < fanout);
-  FlushAccounting();
   KeyGroupState out;
   out.key_group = kg;
   GroupStore& g = groups_[kg];
   std::vector<dataflow::KeyT> moved;
   g.ForEach([&](dataflow::KeyT key, StateCell& cell) {
     if (HashKey(key ^ 0x5BD1E995) % fanout != sub) return;
-    group_bytes_[kg] -= cell.nominal_bytes;
     out.cells.emplace(key, std::move(cell));
     moved.push_back(key);
   });
@@ -202,37 +162,28 @@ void KeyedStateBackend::InstallKeyGroup(KeyGroupState state) {
 
 void KeyedStateBackend::MergeCells(KeyGroupState state) {
   DRRS_CHECK(state.key_group < num_key_groups_);
-  FlushAccounting();
   GroupStore& g = groups_[state.key_group];
-  uint64_t& bytes = group_bytes_[state.key_group];
-  // Per-key moves into distinct cells plus sum-folded byte counters;
-  // commutative, so the final backend state does not depend on visit order
-  // (slot numbering may differ, but slots are an internal layout detail
-  // never observable in events or metrics).
-  // NOLINTNEXTLINE(drrs-unordered-iteration): commutative per-key merge + sum folds.
+  // Per-key moves into distinct cells: the final backend state does not
+  // depend on visit order (slot numbering may differ, but slots are an
+  // internal layout detail never observable in events or metrics).
+  // NOLINTNEXTLINE(drrs-unordered-iteration): commutative per-key merge.
   for (auto& [key, cell] : state.cells) {
-    auto [dst, inserted] = g.FindOrInsert(key);
-    if (!inserted) bytes -= dst->nominal_bytes;
-    bool was_journaled = dst->journaled;  // journal entry survives the move
-    *dst = std::move(cell);
-    dst->acct_bytes = dst->nominal_bytes;
-    dst->journaled = was_journaled;
-    bytes += dst->nominal_bytes;
+    *g.FindOrInsert(key).first = std::move(cell);
   }
 }
 
 uint64_t KeyedStateBackend::KeyGroupBytes(dataflow::KeyGroupId kg) const {
-  FlushAccounting();
-  if (debug_recount_) DebugRecount();
-  return group_bytes_[kg];
+  uint64_t total = 0;
+  groups_[kg].ForEach([&](dataflow::KeyT, const StateCell& cell) {
+    total += cell.nominal_bytes;
+  });
+  return total;
 }
 
 uint64_t KeyedStateBackend::TotalBytes() const {
-  FlushAccounting();
-  if (debug_recount_) DebugRecount();
   uint64_t total = 0;
   // NOLINTNEXTLINE(drrs-unordered-iteration): pure sum fold; order-independent.
-  for (dataflow::KeyGroupId kg : owned_) total += group_bytes_[kg];
+  for (dataflow::KeyGroupId kg : owned_) total += KeyGroupBytes(kg);
   return total;
 }
 
@@ -263,15 +214,11 @@ std::vector<KeyGroupState> KeyedStateBackend::Snapshot() const {
 }
 
 void KeyedStateBackend::DropAllCells() {
-  touched_.clear();  // pointers below are about to be invalidated
   for (auto& g : groups_) g.Clear();
-  for (auto& b : group_bytes_) b = 0;
 }
 
 void KeyedStateBackend::Restore(std::vector<KeyGroupState> snapshot) {
-  touched_.clear();  // pointers below are about to be invalidated
   for (auto& g : groups_) g.Clear();
-  for (auto& b : group_bytes_) b = 0;
   owned_.clear();
   for (auto& s : snapshot) InstallKeyGroup(std::move(s));
 }

@@ -29,13 +29,6 @@ struct StateCell {
   int64_t last_value = 0;
   std::vector<std::pair<sim::SimTime, int64_t>> windows;
   uint64_t nominal_bytes = 64;
-  /// Bytes last folded into the owning backend's per-group counter; managed
-  /// by KeyedStateBackend's incremental accounting, not by operators.
-  uint64_t acct_bytes = 0;
-  /// True while a pointer to this cell sits in the backend's accounting
-  /// journal; dedups repeated touches between flushes. Managed by the
-  /// backend (set on Get/GetOrCreate, cleared by FlushAccounting).
-  bool journaled = false;
 
   /// Default size model: fixed envelope plus 16 bytes per open window pane.
   void RecomputeBytes(uint64_t base = 64) {
@@ -64,8 +57,8 @@ struct KeyGroupState {
 /// cells themselves, so a miss or a long probe chain stays inside a couple
 /// of cache lines. Cells live in fixed-size slabs that are allocated once
 /// and never move: `StateCell*` handed to callers stays valid across any
-/// number of inserts (the stability guarantee the accounting journal and
-/// the migration paths rely on). Erased slots turn into index tombstones
+/// number of inserts (operators hold one across a record's processing).
+/// Erased slots turn into index tombstones
 /// plus a slot freelist; iteration walks slots in allocation order, so a
 /// freshly filled store visits keys in insertion order deterministically.
 class GroupStore {
@@ -146,9 +139,7 @@ class GroupStore {
 class KeyedStateBackend {
  public:
   explicit KeyedStateBackend(uint32_t num_key_groups)
-      : num_key_groups_(num_key_groups),
-        groups_(num_key_groups),
-        group_bytes_(num_key_groups, 0) {}
+      : num_key_groups_(num_key_groups), groups_(num_key_groups) {}
 
   uint32_t num_key_groups() const { return num_key_groups_; }
 
@@ -188,8 +179,7 @@ class KeyedStateBackend {
   void InstallKeyGroup(KeyGroupState state);
 
   /// Merge migrated cells (e.g. a sub-key-group) without touching ownership.
-  /// Incoming cells replace same-key cells; the receiver keeps its own
-  /// accounting fields, so the per-group byte counter stays exact.
+  /// Incoming cells replace same-key cells.
   void MergeCells(KeyGroupState state);
 
   /// Visit every key currently stored in `kg` (slot order: insertion order
@@ -200,18 +190,15 @@ class KeyedStateBackend {
     groups_[kg].ForEach([&](dataflow::KeyT key, const StateCell&) { fn(key); });
   }
 
+  /// Modeled serialized size of `kg`: the sum of its cells' `nominal_bytes`.
   uint64_t KeyGroupBytes(dataflow::KeyGroupId kg) const;
   uint64_t KeyCount(dataflow::KeyGroupId kg) const {
     return groups_[kg].size();
   }
 
-  /// Total serialized size across owned key-groups (metrics sampling).
-  ///
-  /// Incremental accounting makes this O(#key-groups), independent of the
-  /// number of keys: per-group byte counters are kept up to date lazily from
-  /// the touched-cell journal (see FlushAccounting), so a metrics sample
-  /// costs one pass over the cells *accessed since the previous sample*
-  /// instead of a rescan of every cell.
+  /// Total serialized size across owned key-groups, summed over their cells
+  /// on each call. Metrics read it once per sample period, so a scan is
+  /// cheaper than keeping a running counter in step with every cell write.
   uint64_t TotalBytes() const;
   uint64_t TotalKeys() const;
 
@@ -226,31 +213,10 @@ class KeyedStateBackend {
   /// checkpoint restore repopulates the owned groups).
   void DropAllCells();
 
-  /// Debug mode: every TotalBytes()/KeyGroupBytes() read re-derives the
-  /// counters with a full scan and aborts on divergence. Used by tests to
-  /// pin the incremental accounting to the ground truth.
-  void set_debug_recount(bool v) { debug_recount_ = v; }
-
  private:
-  /// Fold pending byte deltas of handed-out cells into the per-group
-  /// counters. Cells are journaled pessimistically on every Get/GetOrCreate
-  /// (a mutable pointer escape may resize the cell); the journal is cleared
-  /// here. Duplicate entries are harmless: each folds its delta-so-far and
-  /// re-baselines `acct_bytes`.
-  void FlushAccounting() const;
-  void DebugRecount() const;
-
   uint32_t num_key_groups_;
   std::vector<GroupStore> groups_;
   std::unordered_set<dataflow::KeyGroupId> owned_;
-
-  /// Accounted bytes per key-group (valid after FlushAccounting).
-  mutable std::vector<uint64_t> group_bytes_;
-  /// Journal of cells whose pointer escaped since the last flush. Pointers
-  /// are stable (slab-backed store) and the journal is flushed before any
-  /// operation that erases or overwrites cells.
-  mutable std::vector<std::pair<dataflow::KeyGroupId, StateCell*>> touched_;
-  bool debug_recount_ = false;
 };
 
 }  // namespace drrs::state

@@ -483,21 +483,6 @@ void Tracer::OnScaleWatchdog(dataflow::OperatorId op, uint32_t attempt,
                                : "scale aborted: missed progress deadline");
 }
 
-void Tracer::OnScaleStageProgress(dataflow::OperatorId op, int from_stage,
-                                  int to_stage) {
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::kInstant;
-  e.category = kScale;
-  e.name = "scale_stage_progress";
-  e.track = kTrackControl;
-  e.ts = Now();
-  e.args[0] = {"op", op};
-  e.args[1] = {"from", from_stage};
-  e.args[2] = {"to", to_stage};
-  e.num_args = 3;
-  Emit(e);
-}
-
 // ---- telemetry hooks ----
 
 void Tracer::OnTelemetrySample(dataflow::OperatorId op,

@@ -166,8 +166,6 @@ class Tracer final : public observe::Observer {
   /// worth its history.
   void OnScaleWatchdog(dataflow::OperatorId op, uint32_t attempt,
                        bool cancelled) override;
-  void OnScaleStageProgress(dataflow::OperatorId op, int from_stage,
-                            int to_stage) override;
   void OnTelemetrySample(dataflow::OperatorId op, const std::string& op_name,
                          const char* series, sim::SimTime ts,
                          int64_t value) override;

@@ -342,12 +342,11 @@ TEST(ChannelExtract, BeforeStopsAtBarrier) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental state accounting (debug recount pins it to ground truth)
+// State byte accounting: sums of nominal_bytes through every mutation path
 // ---------------------------------------------------------------------------
 
 TEST(StateAccounting, IncrementalMatchesFullScan) {
   state::KeyedStateBackend backend(8);
-  backend.set_debug_recount(true);
   for (uint32_t kg = 0; kg < 8; ++kg) backend.AcquireKeyGroup(kg);
 
   uint64_t expected = 0;
@@ -356,10 +355,10 @@ TEST(StateAccounting, IncrementalMatchesFullScan) {
     cell->nominal_bytes = 100 + key;  // direct mutation through the pointer
     expected += 100 + key;
   }
-  EXPECT_EQ(backend.TotalBytes(), expected);  // DebugRecount verifies too
+  EXPECT_EQ(backend.TotalBytes(), expected);
   EXPECT_EQ(backend.TotalKeys(), 100u);
 
-  // Re-touch and shrink some cells; deltas must fold correctly.
+  // Re-touch and shrink some cells through Get.
   for (uint64_t key = 0; key < 50; ++key) {
     state::StateCell* cell = backend.Get(key % 8, key);
     ASSERT_NE(cell, nullptr);
@@ -368,7 +367,7 @@ TEST(StateAccounting, IncrementalMatchesFullScan) {
   }
   EXPECT_EQ(backend.TotalBytes(), expected);
 
-  // Duplicate touches of the same cell in one flush window are harmless.
+  // Repeated touches of the same cell between reads.
   state::StateCell* c0 = backend.GetOrCreate(0, 0);
   c0->nominal_bytes = 1000;
   state::StateCell* again = backend.Get(0, 0);
@@ -380,8 +379,6 @@ TEST(StateAccounting, IncrementalMatchesFullScan) {
 TEST(StateAccounting, SurvivesExtractInstallRoundTrip) {
   state::KeyedStateBackend a(4);
   state::KeyedStateBackend b(4);
-  a.set_debug_recount(true);
-  b.set_debug_recount(true);
   for (uint32_t kg = 0; kg < 4; ++kg) a.AcquireKeyGroup(kg);
 
   for (uint64_t key = 0; key < 40; ++key) {
@@ -400,14 +397,13 @@ TEST(StateAccounting, SurvivesExtractInstallRoundTrip) {
   EXPECT_EQ(b.TotalBytes(), kg1_bytes);
   EXPECT_EQ(b.KeyGroupBytes(1), kg1_bytes);
 
-  // Mutations after installation keep accounting exact on both sides.
+  // Mutations after installation show up in the receiver's total.
   b.Get(1, 1)->nominal_bytes = 1;
   EXPECT_EQ(b.TotalBytes(), kg1_bytes - 255);
 }
 
 TEST(StateAccounting, SubKeyGroupExtractAndRestore) {
   state::KeyedStateBackend backend(2);
-  backend.set_debug_recount(true);
   backend.AcquireKeyGroup(0);
   backend.AcquireKeyGroup(1);
   for (uint64_t key = 0; key < 32; ++key) {
@@ -421,7 +417,6 @@ TEST(StateAccounting, SubKeyGroupExtractAndRestore) {
 
   auto snapshot = backend.Snapshot();
   state::KeyedStateBackend restored(2);
-  restored.set_debug_recount(true);
   restored.Restore(std::move(snapshot));
   EXPECT_EQ(restored.TotalBytes(), backend.TotalBytes());
   EXPECT_EQ(restored.TotalKeys(), backend.TotalKeys());

@@ -10,7 +10,7 @@
 //     accounted for.
 //  2. Control-plane tests drive the watchdog: a deadline abort followed by
 //     a successful retry, budget exhaustion degrading to a logged
-//     cancellation, and stage progress re-arming the deadline.
+//     cancellation, and state installs re-arming the deadline.
 //  3. A chaos matrix runs every scaling mechanism against every fault class
 //     under the invariant audit (DRRS_OBSERVE builds) and asserts zero
 //     violations — recovery must be invisible to the correctness checks.
@@ -254,6 +254,8 @@ TEST(ScaleRetry, DeadlineAbortThenRetryCompletes) {
   EXPECT_GE(r.recovery.scale_aborts, 1u);
   EXPECT_GE(r.recovery.scale_retries, 1u);
   EXPECT_EQ(r.recovery.scale_cancellations, 0u);
+  // Measured from the first attempt's start, not the near-empty retry's.
+  EXPECT_GT(r.mechanism_duration, 0);
   EXPECT_EQ(r.sink_records, r.source_records);
   ExpectAuditClean(r, true);
 }
@@ -285,19 +287,35 @@ TEST(ScaleRetry, GenerousDeadlineNeverFires) {
   ExpectAuditClean(r, true);
 }
 
-TEST(ScaleRetry, StageProgressReArmsTheDeadline) {
+TEST(ScaleRetry, InstallProgressReArmsTheDeadline) {
   harness::ExperimentConfig c = BaseConfig(harness::SystemKind::kDrrs);
-  // This migration opens its subscales at once (kBarrier), has state on the
-  // wire from ~0.5 ms (kTransfer) and finishes at ~7.4 ms. The 5 ms
-  // deadline expires mid-transfer: the operation advanced a stage since the
-  // deadline was armed, so the watchdog re-arms instead of aborting, and
-  // the second deadline finds it done.
+  // This migration has state on the wire from ~0.5 ms and finishes at
+  // ~7.4 ms. The 5 ms deadline expires mid-transfer: chunks were installed
+  // since the deadline was armed, so the watchdog re-arms instead of
+  // aborting, and the second deadline finds it done.
   c.scale_retry.enabled = true;
   c.scale_retry.progress_deadline = sim::Millis(5);
   harness::ExperimentResult r = RunPipeline(c);
 
   EXPECT_GT(r.mechanism_duration, c.scale_retry.progress_deadline);
   EXPECT_LT(r.mechanism_duration, 2 * c.scale_retry.progress_deadline);
+  EXPECT_EQ(r.recovery.scale_aborts, 0u);
+  EXPECT_EQ(r.recovery.scale_retries, 0u);
+  EXPECT_EQ(r.recovery.scale_cancellations, 0u);
+  EXPECT_EQ(r.sink_records, r.source_records);
+  ExpectAuditClean(r, true);
+}
+
+TEST(ScaleRetry, UnitByUnitMigrationKeepsReArming) {
+  harness::ExperimentConfig c = BaseConfig(harness::SystemKind::kMegaphone);
+  // Megaphone moves one key-group at a time for ~42 ms, installing a unit
+  // about every millisecond. Each 8 ms deadline finds new installs, so the
+  // migration is never aborted although it outlasts five deadlines.
+  c.scale_retry.enabled = true;
+  c.scale_retry.progress_deadline = sim::Millis(8);
+  harness::ExperimentResult r = RunPipeline(c);
+
+  EXPECT_GT(r.mechanism_duration, 4 * c.scale_retry.progress_deadline);
   EXPECT_EQ(r.recovery.scale_aborts, 0u);
   EXPECT_EQ(r.recovery.scale_retries, 0u);
   EXPECT_EQ(r.recovery.scale_cancellations, 0u);

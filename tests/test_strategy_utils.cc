@@ -126,9 +126,6 @@ TEST(StateTransferTest, SubKeyGroupTransferKeepsOwnershipManual) {
   Rig rig;
   runtime::Task* a = rig.graph->instance(rig.workload.scaled_op, 0);
   runtime::Task* b = rig.graph->instance(rig.workload.scaled_op, 1);
-  // Every byte-counter read re-derives the counters and aborts on drift.
-  a->state()->set_debug_recount(true);
-  b->state()->set_debug_recount(true);
   dataflow::KeyGroupId kg = *a->state()->owned_key_groups().begin();
   for (uint64_t k = 0; k < 40; ++k) a->state()->GetOrCreate(kg, k)->counter = 1;
 

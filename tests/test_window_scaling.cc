@@ -140,10 +140,14 @@ INSTANTIATE_TEST_SUITE_P(
                       WindowCase{SystemKind::kDrrsSchedule, 7, 1},
                       WindowCase{SystemKind::kDrrsSubscale, 7, 1},
                       WindowCase{SystemKind::kMegaphone, 7, 1},
+                      WindowCase{SystemKind::kMegaphone, 8, 1},
+                      WindowCase{SystemKind::kMeces, 7, 1},
+                      WindowCase{SystemKind::kMeces, 8, 1},
                       WindowCase{SystemKind::kOtfsFluid, 7, 1},
                       WindowCase{SystemKind::kOtfsFluid, 8, 1},
                       WindowCase{SystemKind::kOtfsAllAtOnce, 7, 1},
-                      WindowCase{SystemKind::kStopRestart, 7, 1}),
+                      WindowCase{SystemKind::kStopRestart, 7, 1},
+                      WindowCase{SystemKind::kStopRestart, 8, 1}),
     WindowCaseName);
 
 // Sliding-window state travels inside the migrated cells: after a scaled
