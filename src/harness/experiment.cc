@@ -16,69 +16,6 @@
 
 namespace drrs::harness {
 
-const char* SystemName(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kNoScale:
-      return "no-scale";
-    case SystemKind::kDrrs:
-      return "drrs";
-    case SystemKind::kDrrsDR:
-      return "drrs-dr";
-    case SystemKind::kDrrsSchedule:
-      return "drrs-schedule";
-    case SystemKind::kDrrsSubscale:
-      return "drrs-subscale";
-    case SystemKind::kMegaphone:
-      return "megaphone";
-    case SystemKind::kMeces:
-      return "meces";
-    case SystemKind::kOtfsFluid:
-      return "otfs-fluid";
-    case SystemKind::kOtfsAllAtOnce:
-      return "otfs-all-at-once";
-    case SystemKind::kUnbound:
-      return "unbound";
-    case SystemKind::kStopRestart:
-      return "stop-restart";
-  }
-  return "?";
-}
-
-scaling::Mechanism MechanismFor(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kNoScale:
-      break;  // no mechanism; callers must not ask
-    case SystemKind::kDrrs:
-      return scaling::Mechanism::kDrrs;
-    case SystemKind::kDrrsDR:
-      return scaling::Mechanism::kDrrsDR;
-    case SystemKind::kDrrsSchedule:
-      return scaling::Mechanism::kDrrsSchedule;
-    case SystemKind::kDrrsSubscale:
-      return scaling::Mechanism::kDrrsSubscale;
-    case SystemKind::kMegaphone:
-      return scaling::Mechanism::kMegaphone;
-    case SystemKind::kMeces:
-      return scaling::Mechanism::kMeces;
-    case SystemKind::kOtfsFluid:
-      return scaling::Mechanism::kOtfsFluid;
-    case SystemKind::kOtfsAllAtOnce:
-      return scaling::Mechanism::kOtfsAllAtOnce;
-    case SystemKind::kUnbound:
-      return scaling::Mechanism::kUnbound;
-    case SystemKind::kStopRestart:
-      return scaling::Mechanism::kStopRestart;
-  }
-  DRRS_CHECK(false) << "no mechanism for system kind";
-  return scaling::Mechanism::kDrrs;
-}
-
-std::unique_ptr<scaling::ScalingStrategy> MakeStrategy(
-    SystemKind kind, runtime::ExecutionGraph* graph) {
-  if (kind == SystemKind::kNoScale) return nullptr;
-  return scaling::MakeMechanismStrategy(MechanismFor(kind), graph);
-}
-
 ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
                                const ExperimentConfig& config) {
   sim::Simulator sim;
@@ -127,7 +64,7 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
   dataflow::OperatorId op = workload.scaled_op;
   if (config.system != SystemKind::kNoScale) {
     scaling::ScaleService::Options service_options;
-    service_options.mechanism = MechanismFor(config.system);
+    service_options.mechanism = config.system;
     service_options.retry = config.scale_retry;
     service_options.chunk_retry = config.chunk_retry;
     service_options.breaker = config.scale_breaker;

@@ -13,36 +13,17 @@
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 #include "verify/auditor.h"
+#include "verify/invariants.h"
 #include "workloads/workloads.h"
 
 namespace drrs::harness {
 
-/// The systems under evaluation.
-enum class SystemKind {
-  kNoScale = 0,      ///< reference: no scaling operation
-  kDrrs,             ///< full DRRS
-  kDrrsDR,           ///< Fig 14 ablation: Decoupling & Re-routing only
-  kDrrsSchedule,     ///< Fig 14 ablation: Record Scheduling only
-  kDrrsSubscale,     ///< Fig 14 ablation: Subscale Division only
-  kMegaphone,        ///< Megaphone port (Section V-A)
-  kMeces,            ///< Meces port (Section V-A)
-  kOtfsFluid,        ///< generalized OTFS with fluid migration (Fig 1c/2)
-  kOtfsAllAtOnce,    ///< generalized OTFS with all-at-once migration (Fig 1b)
-  kUnbound,          ///< correctness-free probe (Fig 2)
-  kStopRestart,      ///< Stop-Checkpoint-Restart
-};
+/// The systems under evaluation: one name for scaling::Mechanism.
+using SystemKind = scaling::Mechanism;
 
-const char* SystemName(SystemKind kind);
-
-/// The scaling::Mechanism behind `kind`. Must not be called with kNoScale,
-/// which has no mechanism.
-scaling::Mechanism MechanismFor(SystemKind kind);
-
-/// Build a standalone strategy for `kind` over `graph` (null for kNoScale).
-/// RunExperiment itself drives the mechanism through a ScaleService; this
-/// factory exists for tests that exercise a strategy directly.
-std::unique_ptr<scaling::ScalingStrategy> MakeStrategy(
-    SystemKind kind, runtime::ExecutionGraph* graph);
+inline const char* SystemName(SystemKind kind) {
+  return scaling::MechanismName(kind);
+}
 
 /// Restabilization detection: the run has restabilized once latency stays
 /// within kRestabTolerance x baseline + kRestabSlackMs for `restab_hold`
@@ -117,7 +98,7 @@ struct ExperimentResult {
   sim::SimTime cumulative_suspension = 0;
 
   metrics::ScalingMetrics::TransferStats transfers;  ///< Meces analysis
-  metrics::InvariantCounts invariants;
+  verify::InvariantCounts invariants;
   /// Invariant-audit findings (enabled=false unless built with DRRS_OBSERVE;
   /// finalized only for run-to-completion runs).
   verify::AuditReport audit;

@@ -10,6 +10,7 @@
 #include "metrics/histogram.h"
 #include "metrics/timeseries.h"
 #include "sim/sim_time.h"
+#include "verify/invariants.h"
 
 namespace drrs::metrics {
 
@@ -106,53 +107,6 @@ class ScalingMetrics {
   sim::SimTime scale_end_ = -1;
 };
 
-/// \brief Order/exactly-once invariant violations observed by tasks.
-///
-/// Unbound (the correctness-free design probe, Section II-B) is *expected* to
-/// accumulate violations; every real strategy must keep all counters at zero
-/// — that is asserted by the property tests.
-struct InvariantCounts {
-  uint64_t order_violations = 0;       ///< per-(sender,key) seq inversions
-  uint64_t state_miss_processing = 0;  ///< record processed w/o local state
-  uint64_t duplicate_processing = 0;   ///< same record processed twice
-
-  bool Clean() const {
-    return order_violations == 0 && state_miss_processing == 0 &&
-           duplicate_processing == 0;
-  }
-};
-
-/// \brief The live checker behind InvariantCounts: keeps the last seq seen
-/// on every stream. Results copy only counts(), never the table.
-class InvariantMonitor : public InvariantCounts {
- public:
-  const InvariantCounts& counts() const { return *this; }
-
-  /// Verify the per-(consumer op, sender instance, key) sequence number is
-  /// strictly increasing; bumps the violation counters otherwise. `seq` must
-  /// be positive: 0 means "not stamped" and marks an empty table slot.
-  void CheckOrder(dataflow::OperatorId op, dataflow::InstanceId sender,
-                  dataflow::KeyT key, uint64_t seq);
-
- private:
-  /// Last seq seen on one (consumer op, sender, key) stream; `last == 0`
-  /// marks an empty slot.
-  struct Slot {
-    dataflow::OperatorId op = 0;
-    dataflow::InstanceId sender = 0;
-    dataflow::KeyT key = 0;
-    uint64_t last = 0;
-  };
-  static constexpr size_t kInitialSlots = 64;
-
-  void Grow();
-
-  /// Open addressing with linear probing: power-of-two size, at most half
-  /// full. Streams are never erased, so there are no tombstones.
-  std::vector<Slot> slots_ = std::vector<Slot>(kInitialSlots);
-  size_t used_ = 0;
-};
-
 /// \brief Retry/recovery counters bumped by the fault-tolerance machinery:
 /// chunk retransmission (StateTransfer), scale abort-and-retry (ScaleService)
 /// and task crash/recovery (FaultInjector + Task). All zero in fault-free
@@ -244,8 +198,8 @@ class MetricsHub {
 
   ScalingMetrics& scaling() { return scaling_; }
   const ScalingMetrics& scaling() const { return scaling_; }
-  InvariantMonitor& invariants() { return invariants_; }
-  const InvariantMonitor& invariants() const { return invariants_; }
+  verify::InvariantMonitor& invariants() { return invariants_; }
+  const verify::InvariantMonitor& invariants() const { return invariants_; }
   RecoveryMetrics& recovery() { return recovery_; }
   const RecoveryMetrics& recovery() const { return recovery_; }
   OverloadMetrics& overload() { return overload_; }
@@ -258,7 +212,7 @@ class MetricsHub {
   RateCounter source_rate_;
   RateCounter sink_rate_;
   ScalingMetrics scaling_;
-  InvariantMonitor invariants_;
+  verify::InvariantMonitor invariants_;
   RecoveryMetrics recovery_;
   OverloadMetrics overload_;
 };

@@ -12,17 +12,6 @@ namespace drrs::net {
 
 using dataflow::StreamElement;
 
-namespace {
-size_t Log2Bucket(size_t n) {
-  size_t b = 0;
-  while (n > 1 && b < 15) {
-    n >>= 1;
-    ++b;
-  }
-  return b;
-}
-}  // namespace
-
 Channel::Channel(sim::Simulator* sim, const NetworkConfig& config,
                  dataflow::InstanceId sender, dataflow::InstanceId receiver,
                  ChannelReceiver* receiver_task)
@@ -247,7 +236,6 @@ void Channel::DeliverDueBatch() {
     StreamElement e = std::move(wire_.front().element);
     wire_.pop_front();
     ++delivered_elements_;
-    delivered_bytes_ += e.WireBytes();
     DRRS_OBSERVE(sim_, OnElementDelivered(e, wire_.size(),
                                           input_queue_.size() + 1,
                                           config_.input_buffer_capacity,
@@ -256,8 +244,6 @@ void Channel::DeliverDueBatch() {
     ++batch;
   }
   ++delivered_batches_;
-  max_batch_size_ = std::max<uint64_t>(max_batch_size_, batch);
-  ++batch_size_log2_hist_[Log2Bucket(batch)];
   receiver_task_->OnBatchAvailable(this, batch);
   // Note: we do not TryTransmit() here; credit was consumed, not released.
 }

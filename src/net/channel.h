@@ -1,7 +1,6 @@
 #ifndef DRRS_NET_CHANNEL_H_
 #define DRRS_NET_CHANNEL_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -200,16 +199,9 @@ class Channel {
 
   // ---- stats ----
   uint64_t delivered_elements() const { return delivered_elements_; }
-  uint64_t delivered_bytes() const { return delivered_bytes_; }
   /// Number of wire-batch flushes (single receiver notifications); the mean
   /// batch size is delivered_elements()/delivered_batches().
   uint64_t delivered_batches() const { return delivered_batches_; }
-  uint64_t max_batch_size() const { return max_batch_size_; }
-  /// Histogram of batch sizes by floor(log2(size)): bucket 0 counts
-  /// singleton batches, bucket k counts sizes in [2^k, 2^(k+1)).
-  const std::array<uint64_t, 16>& batch_size_log2_hist() const {
-    return batch_size_log2_hist_;
-  }
 
  private:
   /// One element travelling the simulated wire (or the bypass path), tagged
@@ -253,10 +245,7 @@ class Channel {
   std::vector<std::function<void()>> decongest_listeners_;
 
   uint64_t delivered_elements_ = 0;
-  uint64_t delivered_bytes_ = 0;
   uint64_t delivered_batches_ = 0;
-  uint64_t max_batch_size_ = 0;
-  std::array<uint64_t, 16> batch_size_log2_hist_ = {};
   sim::SimTime watermark_ = kNoWatermark;
   bool scaling_path_ = false;
   bool rail_open_ = false;

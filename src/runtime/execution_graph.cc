@@ -1,6 +1,5 @@
 #include "runtime/execution_graph.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -207,7 +206,6 @@ ExecutionGraph::DeliveryStats ExecutionGraph::TotalDeliveryStats() const {
   for (const auto& ch : channels_) {
     stats.elements += ch->delivered_elements();
     stats.batches += ch->delivered_batches();
-    stats.max_batch = std::max(stats.max_batch, ch->max_batch_size());
   }
   return stats;
 }

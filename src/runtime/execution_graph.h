@@ -22,7 +22,10 @@ class CheckpointCoordinator;
 struct EngineConfig {
   net::NetworkConfig net;
   /// Enable per-record order/exactly-once/state-ownership checks. Tests keep
-  /// this on; benchmarks turn it off for speed.
+  /// this on; benchmarks turn it off for speed. An attached Auditor
+  /// (observe builds) stamps records regardless, so audited runs still
+  /// count order violations and duplicates; only the state-ownership check
+  /// follows this flag alone.
   bool check_invariants = true;
 };
 
@@ -104,7 +107,6 @@ class ExecutionGraph {
   struct DeliveryStats {
     uint64_t elements = 0;
     uint64_t batches = 0;
-    uint64_t max_batch = 0;
   };
   DeliveryStats TotalDeliveryStats() const;
 

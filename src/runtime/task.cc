@@ -403,11 +403,13 @@ void Task::ProcessRecordDirect(const StreamElement& record) {
 }
 
 void Task::CheckRecordInvariants(const StreamElement& record) {
-  if (!check_invariants_) return;
   auto& inv = hub_->invariants();
+  // Every stamped record is checked: stamps exist exactly when invariant
+  // checks are on or an Auditor is attached (StampOutgoing).
   if (record.seq > 0) {
     inv.CheckOrder(op_, record.from_instance, record.key, record.seq);
   }
+  if (!check_invariants_) return;
   if (spec_.is_stateful && state_ != nullptr) {
     dataflow::KeyGroupId kg = key_space_->KeyGroupOf(record.key);
     if (!state_->OwnsKeyGroup(kg) &&
@@ -459,7 +461,7 @@ void Task::ForwardMarker(const StreamElement& marker) {
 void Task::StampOutgoing(StreamElement* element) {
   element->from_instance = id_;
   bool stamp = check_invariants_;
-  // The auditor's ordering check reuses the same stamps.
+  // Audited runs check order even with the other invariant checks off.
   DRRS_OBSERVE_ONLY(stamp = stamp || sim_->auditor() != nullptr;)
   if (stamp && element->kind == ElementKind::kRecord) {
     element->seq = ++emit_seq_;

@@ -16,6 +16,8 @@ namespace drrs::scaling {
 
 const char* MechanismName(Mechanism mechanism) {
   switch (mechanism) {
+    case Mechanism::kNoScale:
+      return "no-scale";
     case Mechanism::kDrrs:
       return "drrs";
     case Mechanism::kDrrsDR:
@@ -43,6 +45,8 @@ const char* MechanismName(Mechanism mechanism) {
 std::unique_ptr<ScalingStrategy> MakeMechanismStrategy(
     Mechanism mechanism, runtime::ExecutionGraph* graph) {
   switch (mechanism) {
+    case Mechanism::kNoScale:
+      return nullptr;
     case Mechanism::kDrrs:
       return std::make_unique<DrrsStrategy>(graph, FullDrrsOptions(),
                                             MechanismName(mechanism));
@@ -76,6 +80,9 @@ std::unique_ptr<ScalingStrategy> MakeMechanismStrategy(
 
 Status ScaleService::ValidateRequest(dataflow::OperatorId op,
                                      uint32_t target) const {
+  if (options_.mechanism == Mechanism::kNoScale) {
+    return Status::InvalidArgument("no-scale has no mechanism to run");
+  }
   if (op >= graph_->job().operators().size()) {
     return Status::InvalidArgument("unknown operator");
   }

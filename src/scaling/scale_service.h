@@ -10,10 +10,12 @@
 
 namespace drrs::scaling {
 
-/// The scaling mechanisms the control plane can drive — the paper's systems
-/// under evaluation (Section V-A), minus the no-op reference.
+/// The paper's systems under evaluation (Section V-A): the scaling
+/// mechanisms the control plane can drive, plus the no-op reference, which
+/// has no strategy.
 enum class Mechanism {
-  kDrrs = 0,       ///< full DRRS
+  kNoScale = 0,    ///< reference: no scaling operation
+  kDrrs,           ///< full DRRS
   kDrrsDR,         ///< Fig 14 ablation: Decoupling & Re-routing only
   kDrrsSchedule,   ///< Fig 14 ablation: Record Scheduling only
   kDrrsSubscale,   ///< Fig 14 ablation: Subscale Division only
@@ -101,7 +103,8 @@ class ScaleService {
   Status RequestRescale(dataflow::OperatorId op, uint32_t target_parallelism);
 
   /// Create the (idle) strategy for `op` upfront without starting anything.
-  /// Returns null when `op` cannot be rescaled.
+  /// Returns null when `op` cannot be rescaled or the mechanism is
+  /// kNoScale.
   ScalingStrategy* Prepare(dataflow::OperatorId op);
 
   /// True when no operator is scaling and no request is queued.
@@ -170,7 +173,7 @@ class ScaleService {
 };
 
 /// Build one fresh strategy executing `mechanism` (the factory behind
-/// ScaleService; the experiment harness shares it).
+/// ScaleService; tests share it). Null for kNoScale.
 std::unique_ptr<ScalingStrategy> MakeMechanismStrategy(
     Mechanism mechanism, runtime::ExecutionGraph* graph);
 

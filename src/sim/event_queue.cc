@@ -46,7 +46,6 @@ EventQueue::Fired EventQueue::Pop() {
     heap_.front() = last;
     SiftDown(0);
   }
-  ++popped_;
   return Fired{top.time, top.fn, top.arg};
 }
 

@@ -70,14 +70,6 @@ class EventQueue {
   /// `fired.fn(fired.arg)` exactly once.
   Fired Pop();
 
-  /// Number of events *scheduled* so far (monotonic insertion counter, also
-  /// the tie-break sequence). Diagnostic.
-  uint64_t scheduled_count() const { return next_seq_; }
-
-  /// Number of events popped for execution so far. Diagnostic counterpart of
-  /// scheduled_count(); `scheduled_count() - popped_count() == size()`.
-  uint64_t popped_count() const { return popped_; }
-
   /// Auditor notified on every pop (DRRS_OBSERVE builds; ignored otherwise).
   void set_auditor(verify::Auditor* auditor) { auditor_ = auditor; }
 
@@ -117,8 +109,7 @@ class EventQueue {
   // std::push_heap/pop_heap over move-only payloads) keep every move a
   // 32-byte copy.
   std::vector<Event> heap_;
-  uint64_t next_seq_ = 0;
-  uint64_t popped_ = 0;
+  uint64_t next_seq_ = 0;  ///< insertion counter: the tie-break sequence
   verify::Auditor* auditor_ = nullptr;
   // Every box ever allocated. Destroying them with the queue releases the
   // captures of events still pending (a run stopped at a horizon).

@@ -67,12 +67,9 @@ struct PeriodicState {
 };
 
 void FirePeriodic(const std::shared_ptr<PeriodicState>& state) {
-  if (state->cancelled) {
-    // The armed event outlives its cancellation by design (the shared token
-    // keeps captures valid); count the no-op fire so audits can see it.
-    state->sim->NoteCancelledFire();
-    return;
-  }
+  // The armed event outlives its cancellation by design (the shared token
+  // keeps captures valid); it fires as a no-op.
+  if (state->cancelled) return;
   state->body();
   if (state->cancelled) return;
   state->sim->ScheduleAfter(state->period,

@@ -79,13 +79,6 @@ class Simulator {
   void set_tracer(trace::Tracer* tracer);
   trace::Tracer* tracer() const { return tracer_; }
 
-  /// Cancelled periodic events that still fired (as no-ops). A cancelled
-  /// PeriodicProcess leaves its already-armed event in the queue by design;
-  /// this counter makes the "leak" observable, mirroring
-  /// EventQueue::popped_count().
-  uint64_t cancelled_fires() const { return cancelled_fires_; }
-  void NoteCancelledFire() { ++cancelled_fires_; }
-
  private:
   SimTime now_ = 0;
   uint64_t executed_ = 0;
@@ -93,7 +86,6 @@ class Simulator {
   verify::Auditor* auditor_ = nullptr;
   net::FaultPlane* fault_plane_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
-  uint64_t cancelled_fires_ = 0;
 };
 
 /// \brief Helper that re-schedules a callback at a fixed period until

@@ -15,8 +15,6 @@ const char* AuditCheckName(AuditCheck check) {
   switch (check) {
     case AuditCheck::kConservation:
       return "conservation";
-    case AuditCheck::kOrdering:
-      return "ordering";
     case AuditCheck::kProtocol:
       return "protocol";
     case AuditCheck::kDeterminism:
@@ -38,7 +36,6 @@ std::string AuditReport::Summary() const {
   os << "audit: " << violations.size() << " violation(s)";
   if (dropped_violations > 0) os << " (+" << dropped_violations << " dropped)";
   os << " [conservation=" << CountOf(AuditCheck::kConservation)
-     << " ordering=" << CountOf(AuditCheck::kOrdering)
      << " protocol=" << CountOf(AuditCheck::kProtocol)
      << " determinism=" << CountOf(AuditCheck::kDeterminism) << "]"
      << "; records tracked=" << records_tracked
@@ -220,47 +217,30 @@ void Auditor::OnElementsExtracted(
 void Auditor::OnRecordProcessed(const StreamElement& record,
                                 dataflow::OperatorId op,
                                 dataflow::InstanceId instance) {
+  (void)op;
   RecordInfo* info = TrackedRecord(record.audit_id);
-  if (info != nullptr) {
-    if (info->phase == Phase::kDone) {
-      std::ostringstream os;
-      os << "record " << record.audit_id << " (key " << record.key
-         << ", from instance " << info->from
-         << ") processed twice — duplicate processing at instance "
-         << instance;
-      AddViolation(AuditCheck::kConservation, os.str());
-    } else if (info->phase == Phase::kShed) {
-      std::ostringstream os;
-      os << "record " << record.audit_id << " (key " << record.key
-         << ") processed at instance " << instance
-         << " after being shed — shedding must be terminal";
-      AddViolation(AuditCheck::kConservation, os.str());
-    } else if (info->phase != Phase::kInput && info->phase != Phase::kHeld) {
-      std::ostringstream os;
-      os << "record " << record.audit_id << " (key " << record.key
-         << ") processed at instance " << instance << " while "
-         << PhaseName(info->phase) << " — skipped delivery";
-      AddViolation(AuditCheck::kConservation, os.str());
-    }
-    info->phase = Phase::kDone;
-    ++records_processed_;
+  if (info == nullptr) return;
+  if (info->phase == Phase::kDone) {
+    std::ostringstream os;
+    os << "record " << record.audit_id << " (key " << record.key
+       << ", from instance " << info->from
+       << ") processed twice — duplicate processing at instance " << instance;
+    AddViolation(AuditCheck::kConservation, os.str());
+  } else if (info->phase == Phase::kShed) {
+    std::ostringstream os;
+    os << "record " << record.audit_id << " (key " << record.key
+       << ") processed at instance " << instance
+       << " after being shed — shedding must be terminal";
+    AddViolation(AuditCheck::kConservation, os.str());
+  } else if (info->phase != Phase::kInput && info->phase != Phase::kHeld) {
+    std::ostringstream os;
+    os << "record " << record.audit_id << " (key " << record.key
+       << ") processed at instance " << instance << " while "
+       << PhaseName(info->phase) << " — skipped delivery";
+    AddViolation(AuditCheck::kConservation, os.str());
   }
-  if (record.seq > 0) {
-    OrderState& last = order_[{op, record.from_instance, record.key}];
-    if (record.seq <= last.seq) {
-      std::ostringstream os;
-      os << "key " << record.key << " from instance " << record.from_instance
-         << " at operator " << op << ": seq " << record.seq
-         << " processed by instance " << instance << " after seq " << last.seq
-         << " (processed by instance " << last.instance << " at t="
-         << last.time << ") — "
-         << (record.seq == last.seq ? "duplicate" : "reordered") << " record";
-      AddViolation(AuditCheck::kOrdering, os.str());
-    }
-    last.seq = std::max(last.seq, record.seq);
-    last.instance = instance;
-    last.time = Now();
-  }
+  info->phase = Phase::kDone;
+  ++records_processed_;
 }
 
 void Auditor::OnRecordShed(const StreamElement& record,

@@ -19,12 +19,12 @@ class Simulator;
 
 namespace drrs::verify {
 
-/// Which invariant a violation belongs to. Mirrors the four audit families:
-/// element conservation, per-key FIFO ordering, scale-protocol conformance
-/// and determinism hazards.
+/// Which invariant a violation belongs to. Mirrors the three audit families:
+/// element conservation, scale-protocol conformance and determinism hazards.
+/// Per-key FIFO order and duplicates are InvariantMonitor's (invariants.h),
+/// counted in every build.
 enum class AuditCheck : uint8_t {
   kConservation = 0,
-  kOrdering,
   kProtocol,
   kDeterminism,
 };
@@ -82,6 +82,8 @@ struct AuditReport {
 /// every element movement and protocol step through the DRRS_OBSERVE macro
 /// (see observe/observer.h). In default builds those call sites compile to
 /// nothing, so the auditor costs zero when off. Every check is always on.
+/// Attaching an Auditor also turns on emission stamps, so the always-on
+/// InvariantMonitor checks per-key order in every audited run.
 ///
 /// Checks enforced:
 ///  * Conservation — every record pushed onto a channel moves through a
@@ -89,9 +91,6 @@ struct AuditReport {
 ///    with held/re-routed detours allowed only via extraction or re-push.
 ///    A record processed twice, re-pushed while still queued, or never
 ///    processed at all (Finalize) is a violation.
-///  * Ordering — per (consumer operator, sender instance, key), stamped
-///    sequence numbers must be strictly increasing at processing time, even
-///    across a migration (re-routed records keep their original stamp).
 ///  * Protocol — a state machine over scale/subscale lifecycle, state-chunk
 ///    transfer and rail teardown events rejects illegal sequences: chunks
 ///    outside an active scale, chunks after kScaleComplete, a complete
@@ -225,12 +224,6 @@ class Auditor final : public observe::Observer {
     sim::SimTime sent_at = 0;
   };
 
-  struct OrderState {
-    uint64_t seq = 0;
-    dataflow::InstanceId instance = 0;
-    sim::SimTime time = 0;
-  };
-
   static const char* PhaseName(Phase phase);
 
   void AddViolation(AuditCheck check, std::string message);
@@ -248,12 +241,6 @@ class Auditor final : public observe::Observer {
   std::vector<RecordInfo> records_;
   uint64_t records_processed_ = 0;
   uint64_t records_shed_ = 0;
-
-  // ordering: (consumer op, sender instance, key) -> last observed stamp.
-  std::map<std::tuple<dataflow::OperatorId, dataflow::InstanceId,
-                      dataflow::KeyT>,
-           OrderState>
-      order_;
 
   // protocol
   std::map<uint64_t, ChunkInfo> chunks_;

@@ -7,6 +7,7 @@
 
 #include "harness/experiment.h"
 #include "runtime/execution_graph.h"
+#include "scaling/scale_service.h"
 #include "scaling/strategy.h"
 #include "sim/simulator.h"
 #include "workloads/workloads.h"
@@ -14,7 +15,7 @@
 namespace drrs {
 namespace {
 
-using harness::MakeStrategy;
+using scaling::MakeMechanismStrategy;
 using harness::SystemKind;
 using workloads::BuildCustomWorkload;
 using workloads::CustomParams;
@@ -56,7 +57,7 @@ struct RunOutput {
   std::map<dataflow::KeyT, std::pair<int64_t, int64_t>> final_state;
   uint64_t source_records = 0;
   uint64_t sink_records = 0;
-  metrics::InvariantCounts invariants;
+  verify::InvariantCounts invariants;
 };
 
 RunOutput RunOnce(const CustomParams& params, SystemKind kind,
@@ -71,7 +72,7 @@ RunOutput RunOnce(const CustomParams& params, SystemKind kind,
   for (runtime::Task* t : graph.instances_of(graph.OperatorByName("sink"))) {
     t->set_sink_collector(&collector);
   }
-  auto strategy = MakeStrategy(kind, &graph);
+  auto strategy = MakeMechanismStrategy(kind, &graph);
   if (strategy != nullptr) {
     sim.ScheduleAt(sim::Seconds(8), [&] {
       EXPECT_TRUE(strategy

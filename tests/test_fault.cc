@@ -12,11 +12,13 @@
 //     a successful retry, budget exhaustion degrading to a logged
 //     cancellation, and state installs re-arming the deadline.
 //  3. A chaos matrix runs every scaling mechanism against every fault class
-//     under the invariant audit (DRRS_OBSERVE builds) and asserts zero
-//     violations — recovery must be invisible to the correctness checks.
+//     and asserts zero order violations and duplicates (every build) and
+//     zero audit violations (DRRS_OBSERVE builds) — recovery must be
+//     invisible to the correctness checks.
 
 #include <gtest/gtest.h>
 
+#include "expect_audit_clean.h"
 #include "fault/fault_injector.h"
 #include "harness/experiment.h"
 #include "verify/auditor.h"
@@ -57,28 +59,6 @@ harness::ExperimentConfig BaseConfig(harness::SystemKind kind) {
 harness::ExperimentResult RunPipeline(const harness::ExperimentConfig& config) {
   return harness::RunExperiment(
       workloads::BuildCustomWorkload(PipelineParams()), config);
-}
-
-void ExpectAuditClean(const harness::ExperimentResult& r,
-                      bool mechanism_guarantees_order) {
-#if DRRS_OBSERVE_BUILD
-  ASSERT_TRUE(r.audit.enabled);
-  ASSERT_TRUE(r.audit.finalized);
-  EXPECT_EQ(r.audit.CountOf(verify::AuditCheck::kConservation), 0u)
-      << r.audit.Summary();
-  EXPECT_EQ(r.audit.CountOf(verify::AuditCheck::kProtocol), 0u)
-      << r.audit.Summary();
-  EXPECT_EQ(r.audit.CountOf(verify::AuditCheck::kDeterminism), 0u)
-      << r.audit.Summary();
-  if (mechanism_guarantees_order) {
-    EXPECT_EQ(r.audit.CountOf(verify::AuditCheck::kOrdering), 0u)
-        << r.audit.Summary();
-  }
-  EXPECT_EQ(r.audit.dropped_violations, 0u);
-#else
-  (void)r;
-  (void)mechanism_guarantees_order;
-#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@
 namespace drrs::harness {
 namespace {
 
+using scaling::MakeMechanismStrategy;
+
 workloads::WorkloadSpec TinyWorkload() {
   workloads::CustomParams p;
   p.events_per_second = 1000;
@@ -35,19 +37,19 @@ TEST(Harness, SystemNamesAreUniqueAndStable) {
   EXPECT_STREQ(SystemName(SystemKind::kDrrs), "drrs");
 }
 
-TEST(Harness, MakeStrategyCoversAllSystems) {
+TEST(Harness, MakeMechanismStrategyCoversAllSystems) {
   auto w = TinyWorkload();
   sim::Simulator sim;
   metrics::MetricsHub hub;
   runtime::ExecutionGraph graph(&sim, w.graph, runtime::EngineConfig{}, &hub);
   ASSERT_TRUE(graph.Build().ok());
-  EXPECT_EQ(MakeStrategy(SystemKind::kNoScale, &graph), nullptr);
+  EXPECT_EQ(MakeMechanismStrategy(SystemKind::kNoScale, &graph), nullptr);
   for (SystemKind kind :
        {SystemKind::kDrrs, SystemKind::kDrrsDR, SystemKind::kDrrsSchedule,
         SystemKind::kDrrsSubscale, SystemKind::kMegaphone, SystemKind::kMeces,
         SystemKind::kOtfsFluid, SystemKind::kOtfsAllAtOnce,
         SystemKind::kUnbound, SystemKind::kStopRestart}) {
-    auto strategy = MakeStrategy(kind, &graph);
+    auto strategy = MakeMechanismStrategy(kind, &graph);
     ASSERT_NE(strategy, nullptr);
     EXPECT_EQ(strategy->name(), SystemName(kind));
     EXPECT_TRUE(strategy->done());

@@ -296,81 +296,6 @@ TEST(ScalingMetrics, UnitTransferStats) {
 }
 
 // ---------------------------------------------------------------------------
-// InvariantMonitor
-// ---------------------------------------------------------------------------
-
-TEST(InvariantMonitor, DetectsOrderViolation) {
-  InvariantMonitor inv;
-  inv.CheckOrder(1, 2, 42, 1);
-  inv.CheckOrder(1, 2, 42, 2);
-  inv.CheckOrder(1, 2, 42, 5);
-  EXPECT_TRUE(inv.Clean());
-  inv.CheckOrder(1, 2, 42, 3);  // regression
-  EXPECT_EQ(inv.order_violations, 1u);
-}
-
-TEST(InvariantMonitor, DetectsDuplicate) {
-  InvariantMonitor inv;
-  inv.CheckOrder(1, 2, 42, 7);
-  inv.CheckOrder(1, 2, 42, 7);
-  EXPECT_EQ(inv.duplicate_processing, 1u);
-  EXPECT_EQ(inv.order_violations, 0u);
-}
-
-TEST(InvariantMonitor, StreamsAreIndependent) {
-  InvariantMonitor inv;
-  inv.CheckOrder(1, 2, 42, 5);
-  inv.CheckOrder(1, 3, 42, 1);  // same key, different sender: fresh stream
-  inv.CheckOrder(2, 2, 42, 1);  // different consumer operator
-  EXPECT_TRUE(inv.Clean());
-}
-
-TEST(InvariantMonitor, ManyStreamsSurviveGrowth) {
-  // Enough distinct streams to grow the table several times; each must keep
-  // its own last seq across every rehash. Every key is shared by 21 streams
-  // that differ only in op or sender.
-  constexpr uint64_t kStreams = 210000;
-  auto op_of = [](uint64_t i) { return static_cast<uint32_t>(i % 3); };
-  auto sender_of = [](uint64_t i) { return static_cast<uint32_t>(i / 3 % 7); };
-  auto key_of = [](uint64_t i) { return i / 21; };
-  auto seq_of = [](uint64_t i) { return 10 + i % 5; };
-  InvariantMonitor inv;
-  for (uint64_t i = 0; i < kStreams; ++i) {
-    inv.CheckOrder(op_of(i), sender_of(i), key_of(i), seq_of(i));
-  }
-  EXPECT_TRUE(inv.Clean());
-  for (uint64_t i = 0; i < kStreams; ++i) {
-    inv.CheckOrder(op_of(i), sender_of(i), key_of(i), seq_of(i));  // replay
-  }
-  EXPECT_EQ(inv.duplicate_processing, kStreams);
-  EXPECT_EQ(inv.order_violations, 0u);
-  for (uint64_t i = 0; i < kStreams; ++i) {
-    inv.CheckOrder(op_of(i), sender_of(i), key_of(i), seq_of(i) - 1);
-  }
-  EXPECT_EQ(inv.order_violations, kStreams);
-  EXPECT_EQ(inv.duplicate_processing, kStreams);
-}
-
-TEST(InvariantMonitor, ExtremeIdsAreDistinctStreams) {
-  // Streams that differ only in an all-ones or all-zero field must not
-  // alias each other (nor an empty slot).
-  constexpr uint32_t kMax32 = UINT32_MAX;
-  constexpr uint64_t kMax64 = UINT64_MAX;
-  InvariantMonitor inv;
-  inv.CheckOrder(kMax32, kMax32, 0, 5);
-  inv.CheckOrder(kMax32, kMax32, kMax64, 3);
-  inv.CheckOrder(0, kMax32, 0, 2);
-  inv.CheckOrder(kMax32, 0, 0, 1);
-  inv.CheckOrder(0, 0, 0, 1);
-  inv.CheckOrder(0, 0, kMax64, 1);
-  EXPECT_TRUE(inv.Clean());
-  inv.CheckOrder(kMax32, kMax32, 0, 5);
-  inv.CheckOrder(kMax32, kMax32, kMax64, 2);
-  EXPECT_EQ(inv.duplicate_processing, 1u);
-  EXPECT_EQ(inv.order_violations, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Restabilization detection (the paper's 110%-for-100s rule)
 // ---------------------------------------------------------------------------
 

@@ -10,6 +10,8 @@
 #include "runtime/input_handler.h"
 #include "runtime/task.h"
 #include "sim/simulator.h"
+#include "verify/auditor.h"
+#include "verify/invariants.h"
 #include "workloads/workloads.h"
 
 namespace drrs::runtime {
@@ -32,9 +34,9 @@ CustomParams SmallParams() {
 }
 
 struct Engine {
-  explicit Engine(const CustomParams& params)
+  explicit Engine(const CustomParams& params, EngineConfig config = {})
       : workload(BuildCustomWorkload(params)),
-        graph(&sim, workload.graph, runtime::EngineConfig{}, &hub) {
+        graph(&sim, workload.graph, config, &hub) {
     Status st = graph.Build();
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
@@ -217,9 +219,15 @@ class TamperingInputHandler : public InputHandler {
   Selection held_;
 };
 
-/// Runs the small checked job with one aggregator instance's input tampered.
-metrics::InvariantCounts RunTampered(bool duplicate) {
-  Engine e(SmallParams());
+/// Runs the small job with one aggregator instance's input tampered. With
+/// `audited`, the invariant checks are off and an Auditor is attached
+/// instead, as in a measurement cell of an observe build.
+verify::InvariantCounts RunTampered(bool duplicate, bool audited = false) {
+  verify::Auditor auditor;
+  EngineConfig config;
+  config.check_invariants = !audited;
+  Engine e(SmallParams(), config);
+  if (audited) e.sim.set_auditor(&auditor);
   e.graph.instance(e.workload.scaled_op, 0)
       ->InstallInputHandler(std::make_unique<TamperingInputHandler>(duplicate));
   e.graph.Start();
@@ -228,18 +236,30 @@ metrics::InvariantCounts RunTampered(bool duplicate) {
 }
 
 TEST(OrderInvariant, ReportsOneReorderedRecord) {
-  metrics::InvariantCounts inv = RunTampered(/*duplicate=*/false);
+  verify::InvariantCounts inv = RunTampered(/*duplicate=*/false);
   EXPECT_EQ(inv.order_violations, 1u);
   EXPECT_EQ(inv.duplicate_processing, 0u);
   EXPECT_EQ(inv.state_miss_processing, 0u);
 }
 
 TEST(OrderInvariant, ReportsOneDuplicatedRecord) {
-  metrics::InvariantCounts inv = RunTampered(/*duplicate=*/true);
+  verify::InvariantCounts inv = RunTampered(/*duplicate=*/true);
   EXPECT_EQ(inv.duplicate_processing, 1u);
   EXPECT_EQ(inv.order_violations, 0u);
   EXPECT_EQ(inv.state_miss_processing, 0u);
 }
+
+#if DRRS_OBSERVE_BUILD
+TEST(OrderInvariant, StampedRecordsAreCheckedUnderAudit) {
+  // An attached Auditor stamps records even with invariant checks off, and
+  // every stamped record goes through the one order checker.
+  verify::InvariantCounts inv =
+      RunTampered(/*duplicate=*/false, /*audited=*/true);
+  EXPECT_EQ(inv.order_violations, 1u);
+  EXPECT_EQ(inv.duplicate_processing, 0u);
+  EXPECT_EQ(inv.state_miss_processing, 0u);  // ownership stays unchecked
+}
+#endif
 
 TEST(Checkpoint, CompletesAndSnapshotsState) {
   Engine e(SmallParams());

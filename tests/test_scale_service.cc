@@ -58,6 +58,18 @@ TEST(ScaleService, RejectsInvalidTargets) {
   EXPECT_EQ(service.strategy_for(rig.workload.scaled_op), nullptr);
 }
 
+TEST(ScaleService, RejectsNoScaleMechanism) {
+  ServiceRig rig;
+  ScaleService::Options options;
+  options.mechanism = Mechanism::kNoScale;
+  ScaleService service(rig.graph.get(), options);
+  Status st = service.RequestRescale(rig.workload.scaled_op, 6);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(service.Prepare(rig.workload.scaled_op), nullptr);
+  EXPECT_EQ(service.strategy_for(rig.workload.scaled_op), nullptr);
+  EXPECT_TRUE(service.idle());
+}
+
 TEST(ScaleService, ConcurrentOperatorsAndSupersession) {
   ServiceRig rig;
   ScaleService service(rig.graph.get());

@@ -170,17 +170,15 @@ TEST(PeriodicProcess, DestructionCancelsSafely) {
   EXPECT_EQ(count, 0);
 }
 
-TEST(PeriodicProcess, CancelledFiresAreCountedNotExecuted) {
+TEST(PeriodicProcess, CancelledArmedFireIsNotExecuted) {
   // A cancelled process can still have one armed event in the queue; it
-  // must fire as a no-op, and the simulator accounts for it so audits can
-  // distinguish "no event" from "event swallowed by cancellation".
+  // must fire as a no-op.
   Simulator sim;
   int count = 0;
   PeriodicProcess p(&sim, 10, 10, [&] { ++count; });
   sim.ScheduleAt(5, [&] { p.Cancel(); });  // cancel while armed for t=10
   sim.RunUntilIdle();
   EXPECT_EQ(count, 0);
-  EXPECT_EQ(sim.cancelled_fires(), 1u);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Tests for the verify::Auditor invariant-audit subsystem.
+// Tests for the verify subsystem: the always-on InvariantMonitor and the
+// verify::Auditor invariant audit.
 //
 // Three layers:
-//  1. Unit tests drive the Auditor's hooks directly and check that each
-//     invariant family (conservation, ordering, protocol, determinism)
-//     accepts legal sequences and rejects illegal ones with actionable
-//     diagnostics.
+//  1. Unit tests drive the InvariantMonitor and the Auditor's hooks directly
+//     and check that each invariant family (order, conservation, protocol,
+//     determinism) accepts legal sequences and rejects illegal ones, the
+//     audit with actionable diagnostics.
 //  2. Fault-injection tests run the real engine (channels, rails,
 //     StateTransfer, ScaleContext) and seed one fault each — a dropped,
 //     duplicated or reordered state chunk — asserting the auditor catches
@@ -16,12 +17,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
+#include "expect_audit_clean.h"
 #include "harness/experiment.h"
 #include "scaling/core/scale_context.h"
 #include "sim/simulator.h"
 #include "verify/auditor.h"
+#include "verify/invariants.h"
 #include "workloads/workloads.h"
 
 namespace drrs::verify {
@@ -37,13 +41,11 @@ bool AnyMessageContains(const Auditor& a, const std::string& needle) {
   return false;
 }
 
-StreamElement Record(dataflow::KeyT key, dataflow::InstanceId from,
-                     uint64_t seq = 0) {
+StreamElement Record(dataflow::KeyT key, dataflow::InstanceId from) {
   StreamElement e;
   e.kind = ElementKind::kRecord;
   e.key = key;
   e.from_instance = from;
-  e.seq = seq;
   return e;
 }
 
@@ -126,29 +128,79 @@ TEST(AuditConservation, ExtractionAndRepushIsLegal) {
 }
 
 // ---------------------------------------------------------------------------
-// Ordering
+// InvariantMonitor: per-key FIFO order and duplicates, in every build
 // ---------------------------------------------------------------------------
 
-TEST(AuditOrdering, DetectsReorderAndDuplicate) {
-  Auditor a;
-  a.OnRecordProcessed(Record(7, 1, 1), 2, 5);
-  a.OnRecordProcessed(Record(7, 1, 3), 2, 5);
-  EXPECT_TRUE(a.clean());
-  a.OnRecordProcessed(Record(7, 1, 2), 2, 6);  // fault: overtaken record
-  EXPECT_EQ(a.CountOf(AuditCheck::kOrdering), 1u);
-  EXPECT_TRUE(AnyMessageContains(a, "reordered"));
-  a.OnRecordProcessed(Record(7, 1, 3), 2, 6);  // fault: replay
-  EXPECT_EQ(a.CountOf(AuditCheck::kOrdering), 2u);
-  EXPECT_TRUE(AnyMessageContains(a, "duplicate"));
+TEST(InvariantMonitor, DetectsOrderViolation) {
+  InvariantMonitor inv;
+  inv.CheckOrder(1, 2, 42, 1);
+  inv.CheckOrder(1, 2, 42, 2);
+  inv.CheckOrder(1, 2, 42, 5);
+  EXPECT_TRUE(inv.Clean());
+  inv.CheckOrder(1, 2, 42, 3);  // regression
+  EXPECT_EQ(inv.order_violations, 1u);
 }
 
-TEST(AuditOrdering, IndependentKeysAndSendersDoNotInterfere) {
-  Auditor a;
-  a.OnRecordProcessed(Record(7, 1, 5), 2, 5);
-  a.OnRecordProcessed(Record(8, 1, 1), 2, 5);  // other key: fresh sequence
-  a.OnRecordProcessed(Record(7, 2, 1), 2, 5);  // other sender: fresh sequence
-  a.OnRecordProcessed(Record(7, 1, 1), 3, 5);  // other consumer op
-  EXPECT_TRUE(a.clean()) << a.Report().Summary();
+TEST(InvariantMonitor, DetectsDuplicate) {
+  InvariantMonitor inv;
+  inv.CheckOrder(1, 2, 42, 7);
+  inv.CheckOrder(1, 2, 42, 7);
+  EXPECT_EQ(inv.duplicate_processing, 1u);
+  EXPECT_EQ(inv.order_violations, 0u);
+}
+
+TEST(InvariantMonitor, StreamsAreIndependent) {
+  InvariantMonitor inv;
+  inv.CheckOrder(1, 2, 42, 5);
+  inv.CheckOrder(1, 2, 43, 1);  // same sender, different key: fresh stream
+  inv.CheckOrder(1, 3, 42, 1);  // same key, different sender: fresh stream
+  inv.CheckOrder(2, 2, 42, 1);  // different consumer operator
+  EXPECT_TRUE(inv.Clean());
+}
+
+TEST(InvariantMonitor, ManyStreamsSurviveGrowth) {
+  // Enough distinct streams to grow the table several times; each must keep
+  // its own last seq across every rehash. Every key is shared by 21 streams
+  // that differ only in op or sender.
+  constexpr uint64_t kStreams = 210000;
+  auto op_of = [](uint64_t i) { return static_cast<uint32_t>(i % 3); };
+  auto sender_of = [](uint64_t i) { return static_cast<uint32_t>(i / 3 % 7); };
+  auto key_of = [](uint64_t i) { return i / 21; };
+  auto seq_of = [](uint64_t i) { return 10 + i % 5; };
+  InvariantMonitor inv;
+  for (uint64_t i = 0; i < kStreams; ++i) {
+    inv.CheckOrder(op_of(i), sender_of(i), key_of(i), seq_of(i));
+  }
+  EXPECT_TRUE(inv.Clean());
+  for (uint64_t i = 0; i < kStreams; ++i) {
+    inv.CheckOrder(op_of(i), sender_of(i), key_of(i), seq_of(i));  // replay
+  }
+  EXPECT_EQ(inv.duplicate_processing, kStreams);
+  EXPECT_EQ(inv.order_violations, 0u);
+  for (uint64_t i = 0; i < kStreams; ++i) {
+    inv.CheckOrder(op_of(i), sender_of(i), key_of(i), seq_of(i) - 1);
+  }
+  EXPECT_EQ(inv.order_violations, kStreams);
+  EXPECT_EQ(inv.duplicate_processing, kStreams);
+}
+
+TEST(InvariantMonitor, ExtremeIdsAreDistinctStreams) {
+  // Streams that differ only in an all-ones or all-zero field must not
+  // alias each other (nor an empty slot).
+  constexpr uint32_t kMax32 = UINT32_MAX;
+  constexpr uint64_t kMax64 = UINT64_MAX;
+  InvariantMonitor inv;
+  inv.CheckOrder(kMax32, kMax32, 0, 5);
+  inv.CheckOrder(kMax32, kMax32, kMax64, 3);
+  inv.CheckOrder(0, kMax32, 0, 2);
+  inv.CheckOrder(kMax32, 0, 0, 1);
+  inv.CheckOrder(0, 0, 0, 1);
+  inv.CheckOrder(0, 0, kMax64, 1);
+  EXPECT_TRUE(inv.Clean());
+  inv.CheckOrder(kMax32, kMax32, 0, 5);
+  inv.CheckOrder(kMax32, kMax32, kMax64, 2);
+  EXPECT_EQ(inv.duplicate_processing, 1u);
+  EXPECT_EQ(inv.order_violations, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -462,24 +514,6 @@ harness::ExperimentResult RunCleanExperiment(harness::SystemKind kind) {
   // checks (element conservation end-to-end) are armed.
   return harness::RunExperiment(workloads::BuildCustomWorkload(CleanRunParams()),
                                 c);
-}
-
-void ExpectAuditClean(const harness::ExperimentResult& r,
-                      bool mechanism_guarantees_order) {
-#if DRRS_OBSERVE_BUILD
-  ASSERT_TRUE(r.audit.enabled);
-  ASSERT_TRUE(r.audit.finalized);
-#endif
-  EXPECT_EQ(r.audit.CountOf(AuditCheck::kConservation), 0u)
-      << r.audit.Summary();
-  EXPECT_EQ(r.audit.CountOf(AuditCheck::kProtocol), 0u) << r.audit.Summary();
-  EXPECT_EQ(r.audit.CountOf(AuditCheck::kDeterminism), 0u)
-      << r.audit.Summary();
-  if (mechanism_guarantees_order) {
-    EXPECT_EQ(r.audit.CountOf(AuditCheck::kOrdering), 0u)
-        << r.audit.Summary();
-  }
-  EXPECT_EQ(r.audit.dropped_violations, 0u);
 }
 
 TEST(AuditCleanRun, Drrs) {

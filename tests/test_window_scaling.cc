@@ -5,13 +5,14 @@
 
 #include "harness/experiment.h"
 #include "runtime/execution_graph.h"
+#include "scaling/scale_service.h"
 #include "sim/simulator.h"
 #include "workloads/workloads.h"
 
 namespace drrs {
 namespace {
 
-using harness::MakeStrategy;
+using scaling::MakeMechanismStrategy;
 using harness::SystemKind;
 
 /// Collects fired window panes at the sink: (key, window_end) -> aggregate.
@@ -39,7 +40,7 @@ struct WindowRun {
   std::map<std::pair<dataflow::KeyT, sim::SimTime>, int64_t> panes;
   uint64_t double_fires = 0;
   uint64_t source_records = 0;
-  metrics::InvariantCounts invariants;
+  verify::InvariantCounts invariants;
 };
 
 WindowRun RunWindowJob(SystemKind kind, int query, uint64_t seed) {
@@ -64,7 +65,7 @@ WindowRun RunWindowJob(SystemKind kind, int query, uint64_t seed) {
   for (runtime::Task* t : graph.instances_of(graph.OperatorByName("sink"))) {
     t->set_sink_collector(&collector);
   }
-  auto strategy = MakeStrategy(kind, &graph);
+  auto strategy = MakeMechanismStrategy(kind, &graph);
   if (strategy != nullptr) {
     sim.ScheduleAt(sim::Seconds(10), [&] {
       EXPECT_TRUE(
@@ -167,7 +168,7 @@ TEST(WindowScaling, NoStrandedPanesAfterScaleIn) {
   runtime::ExecutionGraph graph(&sim, workload.graph, runtime::EngineConfig{},
                                 &hub);
   ASSERT_TRUE(graph.Build().ok());
-  auto strategy = MakeStrategy(SystemKind::kDrrs, &graph);
+  auto strategy = MakeMechanismStrategy(SystemKind::kDrrs, &graph);
   sim.ScheduleAt(sim::Seconds(8), [&] {
     ASSERT_TRUE(
         strategy->StartScale(scaling::PlanRescale(&graph, workload.scaled_op, 3))
